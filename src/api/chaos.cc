@@ -304,9 +304,9 @@ void ChaosInjector::inject_corruption() {
   // ascending; MRU order for cache, sorted ids for spill, sorted refs for
   // shuffle), then corrupt one uniformly. Nothing eligible: the arrival is
   // skipped without consuming a draw.
-  enum class Class { kCache, kSpill, kShuffle };
   struct Target {
-    Class cls;
+    bool shuffle = false;
+    MemoryTier tier = MemoryTier::kRam;  // block targets only
     ServerId server = kInvalidId;
     BlockId block;
     DagScheduler::ShuffleOutputRef out;
@@ -319,37 +319,28 @@ void ChaosInjector::inject_corruption() {
     if (config_.corrupt_cache) {
       for (const BlockId& id : srv.storage().blocks_mru_order()) {
         if (!srv.storage().is_corrupt(id)) {
-          targets.push_back({Class::kCache, s, id, {}});
+          targets.push_back({false, MemoryTier::kRam, s, id, {}});
         }
       }
     }
     if (config_.corrupt_spill) {
       for (const BlockId& id : cluster.spilled_blocks(s)) {
-        if (!cluster.spilled_block_corrupt(s, id)) {
-          targets.push_back({Class::kSpill, s, id, {}});
+        if (!cluster.find_copy(MemoryTier::kDisk, s, id)->corrupt) {
+          targets.push_back({false, MemoryTier::kDisk, s, id, {}});
         }
       }
     }
   }
   if (config_.corrupt_shuffle) {
     for (const auto& ref : ctx_->dag().live_shuffle_outputs()) {
-      targets.push_back({Class::kShuffle, ref.host, {}, ref});
+      targets.push_back({true, MemoryTier::kRam, ref.host, {}, ref});
     }
   }
   if (targets.empty()) return;
   const Target& t = targets[corrupt_rng_.next_below(targets.size())];
-  bool ok = false;
-  switch (t.cls) {
-    case Class::kCache:
-      ok = ctx_->corrupt_cached_block(t.server, t.block);
-      break;
-    case Class::kSpill:
-      ok = ctx_->corrupt_spilled_block(t.server, t.block);
-      break;
-    case Class::kShuffle:
-      ok = ctx_->corrupt_shuffle_output(t.out.key, t.out.unit);
-      break;
-  }
+  const bool ok = t.shuffle
+                      ? ctx_->corrupt_shuffle_output(t.out.key, t.out.unit)
+                      : ctx_->corrupt_block(t.tier, t.server, t.block);
   if (ok) ++corruptions_;
 }
 

@@ -442,13 +442,6 @@ DatasetPtr Context::ingest(const std::string& name, KeyHistogram hist,
   return data;
 }
 
-DatasetPtr Context::ingest(const std::string& name, KeyHistogram hist,
-                           const PartitionerPtr& part, const std::string& ns,
-                           int source_splits, bool materialize) {
-  return ingest(name, std::move(hist), part, ns,
-                IngestOptions{source_splits, materialize});
-}
-
 JobResult Context::count(const DatasetPtr& ds) {
   return dag_->run_job(ds, ActionType::kCount);
 }
@@ -488,16 +481,8 @@ bool Context::heal_server(ServerId s) {
   return true;
 }
 
-bool Context::corrupt_cached_block(ServerId s, const BlockId& id) {
-  return dag_->corrupt_cached_block(s, id);
-}
-
-bool Context::corrupt_spilled_block(ServerId s, const BlockId& id) {
-  return dag_->corrupt_spilled_block(s, id);
-}
-
-bool Context::corrupt_remote_block(const BlockId& id) {
-  return dag_->corrupt_remote_block(id);
+bool Context::corrupt_block(MemoryTier tier, ServerId s, const BlockId& id) {
+  return dag_->corrupt_block(tier, s, id);
 }
 
 bool Context::corrupt_shuffle_output(const ShuffleKey& key, int unit) {

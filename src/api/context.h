@@ -147,14 +147,6 @@ class Context {
                     const PartitionerPtr& part, const std::string& ns,
                     IngestOptions opts = {});
 
-  // Deprecated positional-flag shim; one release of grace, then it goes.
-  [[deprecated(
-      "pass IngestOptions{.source_splits = ..., .materialize = ...} "
-      "instead of positional flags")]]
-  DatasetPtr ingest(const std::string& name, KeyHistogram hist,
-                    const PartitionerPtr& part, const std::string& ns,
-                    int source_splits, bool materialize = true);
-
   // Runs an action synchronously: submits the job, advances the simulation
   // until it finishes, and returns the result (JobResult::completed is
   // false if the failure machinery exhausted its retries). count(ds) is
@@ -184,18 +176,15 @@ class Context {
   bool heal_server(ServerId s);
 
   // --- integrity-fault injection -------------------------------------------
-  // Flip the checksum tag on one stored copy: a cached replica, a spilled
-  // (MEMORY_AND_DISK) copy, or a shuffle map-output unit. Returns false if
-  // no live copy exists. With ContextOptions::faults.verify_reads the next
-  // verified read detects the mismatch and recovers (drop + lineage
-  // recompute, or FetchFailed + map-stage resubmission); without it the
-  // corrupt copy is served silently and counted in
-  // FailureStats::corrupt_reads_undetected.
-  bool corrupt_cached_block(ServerId s, const BlockId& id);
-  bool corrupt_spilled_block(ServerId s, const BlockId& id);
-  // Remote-pool copies are cluster-wide, so no ServerId; returns false if
-  // the tier is disabled or holds no such block.
-  bool corrupt_remote_block(const BlockId& id);
+  // Flip the checksum tag on one stored copy: a block copy in one tier (a
+  // cached replica on `s`, the cluster-wide remote-pool copy — `s` is then
+  // ignored — or a MEMORY_AND_DISK copy spilled on `s`), or a shuffle
+  // map-output unit. Returns false if no live copy exists. With
+  // ContextOptions::faults.verify_reads the next verified read detects the
+  // mismatch and recovers (drop + lineage recompute, or FetchFailed +
+  // map-stage resubmission); without it the corrupt copy is served
+  // silently and counted in FailureStats::corrupt_reads_undetected.
+  bool corrupt_block(MemoryTier tier, ServerId s, const BlockId& id);
   bool corrupt_shuffle_output(const ShuffleKey& key, int unit);
 
   // The heartbeat failure detector mediating every injected fault above.

@@ -169,25 +169,84 @@ bool Cluster::disk_erase(ServerId s, const BlockId& id) {
   return true;
 }
 
-void Cluster::remove_block(ServerId s, const BlockId& id) {
-  // Per-server removal: the cluster-wide remote copy (if any) stays.
-  disk_erase(s, id);
-  if (server(s).storage().remove(id)) {
-    index_remove(s, id);
-    notify(s, id, /*inserted=*/false);
+std::optional<Cluster::BlockCopy> Cluster::find_copy(MemoryTier tier,
+                                                     ServerId s,
+                                                     const BlockId& id) const {
+  switch (tier) {
+    case MemoryTier::kRam: {
+      if (!cached_on(id, s)) return std::nullopt;
+      const BlockManager& store = server(s).storage();
+      return BlockCopy{store.block_bytes(id), store.is_corrupt(id), s};
+    }
+    case MemoryTier::kRemote: {
+      const RemoteMemoryPool::Entry* e = remote_ ? remote_->find(id) : nullptr;
+      if (e == nullptr) return std::nullopt;
+      return BlockCopy{e->bytes, e->corrupted, e->origin};
+    }
+    case MemoryTier::kDisk: {
+      const auto& store = disk_store_.at(static_cast<std::size_t>(s));
+      const auto it = store.find(id);
+      if (it == store.end()) return std::nullopt;
+      return BlockCopy{it->second.bytes, it->second.corrupted, s};
+    }
+  }
+  return std::nullopt;
+}
+
+bool Cluster::drop_copy(MemoryTier tier, ServerId s, const BlockId& id) {
+  switch (tier) {
+    case MemoryTier::kRam:
+      if (!server(s).storage().remove(id)) return false;
+      index_remove(s, id);
+      notify(s, id, /*inserted=*/false);
+      return true;
+    case MemoryTier::kRemote:
+      return remote_ && remote_->remove(id);
+    case MemoryTier::kDisk:
+      // Through disk_erase so dropping a copy — corrupt or not — always
+      // settles the byte accounting (no leak, no double-subtract).
+      return disk_erase(s, id);
+  }
+  return false;
+}
+
+bool Cluster::corrupt_copy(MemoryTier tier, ServerId s, const BlockId& id) {
+  // Dead servers hold no copies (kill_server clears their RAM and disk),
+  // so the presence check refuses them too.
+  if (!find_copy(tier, s, id)) return false;
+  switch (tier) {
+    case MemoryTier::kRam:
+      return server(s).storage().mark_corrupt(id);
+    case MemoryTier::kRemote:
+      return remote_->mark_corrupt(id);
+    case MemoryTier::kDisk:
+      disk_store_[static_cast<std::size_t>(s)].at(id).corrupted = true;
+      return true;
+  }
+  return false;
+}
+
+void Cluster::touch_copy(MemoryTier tier, ServerId s, const BlockId& id) {
+  if (tier == MemoryTier::kRam) {
+    server(s).storage().touch(id);
+  } else if (tier == MemoryTier::kRemote && remote_) {
+    remote_->touch(id);
   }
 }
 
-void Cluster::remove_block_everywhere(const BlockId& id) {
-  // Copy: index_remove mutates the vector we'd be iterating.
+Bytes Cluster::drop_everywhere(const BlockId& id, Bytes acc) {
+  const auto take = [&](MemoryTier tier, ServerId s) {
+    if (const auto copy = find_copy(tier, s, id)) {
+      acc += copy->bytes;
+      drop_copy(tier, s, id);
+    }
+  };
+  // Copy: dropping a RAM replica edits the index vector.
   const std::vector<ServerId> locs = cache_locations(id);
-  for (ServerId s : locs) remove_block(s, id);
-  for (int s = 0; s < size(); ++s) disk_erase(s, id);
-  if (remote_) remote_->remove(id);
-}
-
-void Cluster::touch_block(ServerId s, const BlockId& id) {
-  server(s).storage().touch(id);
+  for (const ServerId s : locs) take(MemoryTier::kRam, s);
+  take(MemoryTier::kRemote, kInvalidId);
+  for (ServerId s = 0; s < size(); ++s) take(MemoryTier::kDisk, s);
+  return acc;
 }
 
 void Cluster::pin_block(ServerId s, const BlockId& id) {
@@ -294,12 +353,6 @@ Bytes Cluster::total_cached_bytes() const noexcept {
   return total;
 }
 
-Bytes Cluster::disk_block_bytes(ServerId s, const BlockId& id) const {
-  const auto& store = disk_store_.at(static_cast<std::size_t>(s));
-  const auto it = store.find(id);
-  return it == store.end() ? 0.0 : it->second.bytes;
-}
-
 Bytes Cluster::total_spilled_bytes() const noexcept {
   // Sum the maintained per-server counters in server-index order: exact
   // and independent of hash-map iteration order, so the value (and any
@@ -321,41 +374,7 @@ std::vector<BlockId> Cluster::spilled_blocks(ServerId s) const {
   return out;
 }
 
-bool Cluster::drop_spilled_block(ServerId s, const BlockId& id) {
-  // Routed through disk_erase so dropping a copy — corrupt or not — always
-  // settles the byte accounting (no leak, no double-subtract).
-  return disk_erase(s, id);
-}
-
 // --- remote-memory tier ------------------------------------------------
-
-bool Cluster::remote_cached(const BlockId& id) const noexcept {
-  return remote_ && remote_->contains(id);
-}
-
-Bytes Cluster::remote_block_bytes(const BlockId& id) const noexcept {
-  return remote_ ? remote_->block_bytes(id) : 0.0;
-}
-
-ServerId Cluster::remote_block_origin(const BlockId& id) const noexcept {
-  return remote_ ? remote_->origin_of(id) : kInvalidId;
-}
-
-bool Cluster::remote_block_corrupt(const BlockId& id) const noexcept {
-  return remote_ && remote_->is_corrupt(id);
-}
-
-bool Cluster::corrupt_remote_block(const BlockId& id) {
-  return remote_ && remote_->mark_corrupt(id);
-}
-
-bool Cluster::drop_remote_block(const BlockId& id) {
-  return remote_ && remote_->remove(id);
-}
-
-void Cluster::touch_remote_block(const BlockId& id) {
-  if (remote_) remote_->touch(id);
-}
 
 Bytes Cluster::remote_used_bytes() const noexcept {
   return remote_ ? remote_->used() : 0.0;
@@ -365,42 +384,12 @@ std::vector<BlockId> Cluster::remote_blocks() const {
   return remote_ ? remote_->blocks() : std::vector<BlockId>{};
 }
 
-bool Cluster::corrupt_cached_block(ServerId s, const BlockId& id) {
-  Server& srv = server(s);
-  if (!srv.alive()) return false;
-  return srv.storage().mark_corrupt(id);
-}
-
-bool Cluster::corrupt_spilled_block(ServerId s, const BlockId& id) {
-  if (!server(s).alive()) return false;
-  auto& store = disk_store_.at(static_cast<std::size_t>(s));
-  const auto it = store.find(id);
-  if (it == store.end()) return false;
-  it->second.corrupted = true;
-  return true;
-}
-
-bool Cluster::cached_block_corrupt(ServerId s, const BlockId& id) const {
-  return server(s).storage().is_corrupt(id);
-}
-
-bool Cluster::spilled_block_corrupt(ServerId s, const BlockId& id) const {
-  const auto& store = disk_store_.at(static_cast<std::size_t>(s));
-  const auto it = store.find(id);
-  return it != store.end() && it->second.corrupted;
-}
-
 void Cluster::add_block_observer(BlockObserver obs) {
   observers_.push_back(std::move(obs));
 }
 
 void Cluster::add_eviction_observer(EvictionObserver obs) {
   eviction_observers_.push_back(std::move(obs));
-}
-
-void Cluster::set_eviction_observer(EvictionObserver obs) {
-  eviction_observers_.clear();
-  if (obs) eviction_observers_.push_back(std::move(obs));
 }
 
 void Cluster::add_demotion_observer(DemotionObserver obs) {

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -77,15 +78,7 @@ class Cluster {
   void bump_lineage_refcount(DatasetId dataset, int delta);
   int lineage_refcount(DatasetId dataset) const noexcept;
 
-  // Local-disk spill store (unbounded; disk reads pay the cost model).
-  Bytes disk_block_bytes(ServerId s, const BlockId& id) const;  // 0 if absent
-  // Presence, not size: a legitimately empty spilled partition (e.g. a
-  // fully-filtered dataset) is still a valid on-disk copy; treating
-  // size-zero as absent forced a needless lineage recompute.
-  bool disk_cached_on(const BlockId& id, ServerId s) const {
-    const auto& store = disk_store_.at(static_cast<std::size_t>(s));
-    return store.find(id) != store.end();
-  }
+  // --- local-disk spill store (unbounded; reads pay the cost model) -------
   Bytes total_spilled_bytes() const noexcept;
   // Spilled bytes held on one server's local disk (exact maintained
   // counter; summing these in server order is what total_spilled_bytes
@@ -96,43 +89,45 @@ class Cluster {
   // Spilled block ids on a server, sorted by (dataset, partition) so fault
   // injectors enumerating them stay deterministic across runs.
   std::vector<BlockId> spilled_blocks(ServerId s) const;
-  // Drops a spilled copy without touching the in-memory one; returns true
-  // if a spilled copy existed.
-  bool drop_spilled_block(ServerId s, const BlockId& id);
-
-  // Integrity faults: flip the checksum tag on one stored copy. Each
-  // returns false when no such copy exists (dead server, absent block).
-  // A corrupt in-memory victim that spills carries its bad tag to disk.
-  bool corrupt_cached_block(ServerId s, const BlockId& id);
-  bool corrupt_spilled_block(ServerId s, const BlockId& id);
-  bool cached_block_corrupt(ServerId s, const BlockId& id) const;
-  bool spilled_block_corrupt(ServerId s, const BlockId& id) const;
 
   // --- remote-memory tier (cluster/remote_memory.h) ----------------------
-  // All calls are safe when the tier is disabled: predicates read false,
-  // sizes 0, mutators return false / no-op, remote_stats() is null.
+  // Safe when the tier is disabled: 0 bytes, no blocks, null stats.
   bool remote_memory_enabled() const noexcept { return remote_ != nullptr; }
-  bool remote_cached(const BlockId& id) const noexcept;
-  Bytes remote_block_bytes(const BlockId& id) const noexcept;  // 0 if absent
-  ServerId remote_block_origin(const BlockId& id) const noexcept;
-  bool remote_block_corrupt(const BlockId& id) const noexcept;
-  bool corrupt_remote_block(const BlockId& id);
-  // Drops the pool copy (verified reads do this on a detected-corrupt
-  // remote copy); returns false when absent.
-  bool drop_remote_block(const BlockId& id);
-  void touch_remote_block(const BlockId& id);
   Bytes remote_used_bytes() const noexcept;
-  // Pool contents sorted by (dataset, partition); empty when disabled.
+  // Pool contents sorted by (dataset, partition).
   std::vector<BlockId> remote_blocks() const;
   const RemoteMemoryStats* remote_stats() const noexcept {
     return remote_ ? &remote_->stats() : nullptr;
   }
 
-  // Drops one replica (or all replicas) of a block.
-  void remove_block(ServerId s, const BlockId& id);
-  void remove_block_everywhere(const BlockId& id);
-
-  void touch_block(ServerId s, const BlockId& id);
+  // --- tier-indexed block copies ------------------------------------------
+  // One stored copy of a block in one tier of the RAM -> remote pool ->
+  // local disk hierarchy. `host` is the server holding it; for the
+  // cluster-wide pool, the origin server whose eviction demoted it.
+  struct BlockCopy {
+    Bytes bytes = 0.0;  // stored size; a zero-byte copy is still present
+    bool corrupt = false;
+    ServerId host = kInvalidId;
+  };
+  // The copy of `id` in `tier` on server `s` (the remote tier ignores `s`),
+  // or nullopt. A RAM copy is one the index lists for `s`. Safe when the
+  // remote tier is disabled (it then holds nothing).
+  std::optional<BlockCopy> find_copy(MemoryTier tier, ServerId s,
+                                     const BlockId& id) const;
+  // Drops that copy; false when absent. Dropping a RAM replica notifies
+  // the block observers; lower-tier copies stay put.
+  bool drop_copy(MemoryTier tier, ServerId s, const BlockId& id);
+  // Integrity fault: flips the copy's checksum tag; false when absent. A
+  // corrupt RAM victim carries its bad tag down the hierarchy.
+  bool corrupt_copy(MemoryTier tier, ServerId s, const BlockId& id);
+  // Marks the copy most-recently-used (no-op on disk, which keeps no
+  // recency).
+  void touch_copy(MemoryTier tier, ServerId s, const BlockId& id);
+  // Drops every copy of `id` in every tier and returns `acc` plus their
+  // stored bytes, summed RAM replicas first (cache_locations order), then
+  // the pool copy, then disk copies by ascending server. Callers fold
+  // their running total through `acc` so it sums in exactly that order.
+  Bytes drop_everywhere(const BlockId& id, Bytes acc = 0.0);
 
   // Failure injection: kills the server and forgets its blocks. Both calls
   // are idempotent; the return value says whether the state changed.
@@ -172,9 +167,6 @@ class Cluster {
   using EvictionObserver =
       std::function<void(ServerId, const BlockManager::EvictedBlock&)>;
   void add_eviction_observer(EvictionObserver obs);
-  // Replaces every registered eviction observer with `obs` (legacy
-  // single-observer semantics; prefer add_eviction_observer).
-  void set_eviction_observer(EvictionObserver obs);
 
   // Demotion observers: fire once per block copy moving *down* the
   // hierarchy — RAM -> remote pool (to == kRemote, origin = the evicting

@@ -65,23 +65,10 @@ RemoteMemoryPool::InsertResult RemoteMemoryPool::insert(const BlockId& id,
   return result;
 }
 
-bool RemoteMemoryPool::contains(const BlockId& id) const noexcept {
-  return entries_.find(id) != entries_.end();
-}
-
-Bytes RemoteMemoryPool::block_bytes(const BlockId& id) const noexcept {
+const RemoteMemoryPool::Entry* RemoteMemoryPool::find(
+    const BlockId& id) const noexcept {
   const auto it = entries_.find(id);
-  return it == entries_.end() ? 0.0 : it->second.bytes;
-}
-
-ServerId RemoteMemoryPool::origin_of(const BlockId& id) const noexcept {
-  const auto it = entries_.find(id);
-  return it == entries_.end() ? kInvalidId : it->second.origin;
-}
-
-bool RemoteMemoryPool::is_corrupt(const BlockId& id) const noexcept {
-  const auto it = entries_.find(id);
-  return it != entries_.end() && it->second.corrupted;
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
 bool RemoteMemoryPool::mark_corrupt(const BlockId& id) {

@@ -101,10 +101,13 @@ class RemoteMemoryPool {
   InsertResult insert(const BlockId& id, Bytes bytes, bool corrupted,
                       ServerId origin);
 
-  bool contains(const BlockId& id) const noexcept;
-  Bytes block_bytes(const BlockId& id) const noexcept;  // 0 if absent
-  ServerId origin_of(const BlockId& id) const noexcept;  // kInvalidId if absent
-  bool is_corrupt(const BlockId& id) const noexcept;
+  // One stored copy; `origin` is the server whose eviction demoted it.
+  struct Entry {
+    Bytes bytes = 0.0;
+    bool corrupted = false;
+    ServerId origin = kInvalidId;
+  };
+  const Entry* find(const BlockId& id) const noexcept;  // null if absent
   bool mark_corrupt(const BlockId& id);  // false when absent
   void touch(const BlockId& id);
   bool remove(const BlockId& id);  // false when absent
@@ -123,12 +126,6 @@ class RemoteMemoryPool {
   void note_dropped_dead_origin() noexcept;
 
  private:
-  struct Entry {
-    Bytes bytes = 0.0;
-    bool corrupted = false;
-    ServerId origin = kInvalidId;
-  };
-
   Bytes capacity_ = 0.0;
   Bytes used_ = 0.0;
   std::unique_ptr<EvictionPolicy> policy_;

@@ -172,18 +172,8 @@ bool CacheAdvisor::try_free(DatasetId id, Entry& e, SimTime now) {
   }
   Bytes dropped = 0.0;
   for (int p = 0; p < e.num_partitions; ++p) {
-    const BlockId bid{id, p};
-    for (const ServerId s : cluster_->cache_locations(bid)) {
-      dropped += cluster_->server(s).storage().block_bytes(bid);
-    }
-    if (cluster_->remote_memory_enabled() && cluster_->remote_cached(bid)) {
-      dropped += cluster_->remote_block_bytes(bid);
-    }
-    for (ServerId s = 0; s < cluster_->size(); ++s) {
-      dropped += cluster_->disk_block_bytes(s, bid);
-    }
     // Drops RAM replicas, spilled copies and the remote-pool copy alike.
-    cluster_->remove_block_everywhere(bid);
+    dropped = cluster_->drop_everywhere({id, p}, dropped);
   }
   if (const DatasetPtr ds = e.ds.lock()) ds->uncache();
   if (e.auto_cached) {

@@ -169,12 +169,6 @@ JobId DagScheduler::submit(DatasetPtr final, ActionType action,
   return id;
 }
 
-JobId DagScheduler::submit(DatasetPtr final, ActionType action, JobCallback cb,
-                           std::string app) {
-  return submit(std::move(final), action, SubmitOptions{.tenant = std::move(app)},
-                std::move(cb));
-}
-
 void DagScheduler::start_job(Job& ref) {
   // Make the lineage known to the group manager (ns resolution for MCF).
   for (const auto& ds :
@@ -921,32 +915,13 @@ void DagScheduler::note_corruption_detected(ServerId host, DatasetId dataset,
                         partition, bytes, shuffle);
 }
 
-bool DagScheduler::corrupt_cached_block(ServerId s, const BlockId& id) {
-  if (!cluster_->corrupt_cached_block(s, id)) return false;
+bool DagScheduler::corrupt_block(MemoryTier tier, ServerId s,
+                                 const BlockId& id) {
+  if (!cluster_->corrupt_copy(tier, s, id)) return false;
+  const auto copy = cluster_->find_copy(tier, s, id);
   ++stats_.corruptions_injected;
-  emit_corruption_event(obs::TraceKind::kBlockCorrupt, s, id.dataset,
-                        id.partition,
-                        cluster_->server(s).storage().block_bytes(id),
-                        /*shuffle=*/false);
-  return true;
-}
-
-bool DagScheduler::corrupt_spilled_block(ServerId s, const BlockId& id) {
-  if (!cluster_->corrupt_spilled_block(s, id)) return false;
-  ++stats_.corruptions_injected;
-  emit_corruption_event(obs::TraceKind::kBlockCorrupt, s, id.dataset,
-                        id.partition, cluster_->disk_block_bytes(s, id),
-                        /*shuffle=*/false);
-  return true;
-}
-
-bool DagScheduler::corrupt_remote_block(const BlockId& id) {
-  if (!cluster_->corrupt_remote_block(id)) return false;
-  ++stats_.corruptions_injected;
-  emit_corruption_event(obs::TraceKind::kBlockCorrupt,
-                        cluster_->remote_block_origin(id), id.dataset,
-                        id.partition, cluster_->remote_block_bytes(id),
-                        /*shuffle=*/false);
+  emit_corruption_event(obs::TraceKind::kBlockCorrupt, copy->host, id.dataset,
+                        id.partition, copy->bytes, /*shuffle=*/false);
   return true;
 }
 
@@ -1077,7 +1052,8 @@ std::vector<ServerId> DagScheduler::preferred_servers(const StageRun& stage,
       if (!srv.alive() || !srv.reachable()) continue;
       bool all = true;
       for (int p = lo; p < hi; ++p) {
-        if (!cluster_->disk_cached_on({stage.boundary->id(), p}, s)) {
+        if (!cluster_->find_copy(MemoryTier::kDisk, s,
+                                 {stage.boundary->id(), p})) {
           all = false;
           break;
         }
@@ -1108,132 +1084,99 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
     e.bytes = probe_bytes;
     tracer_->emit(e);
   };
-  if (cluster_->cached_on(bid, server)) {
-    const Bytes stored = serialized ? bytes * cost_.serialization_ratio : bytes;
-    const bool corrupt = cluster_->cached_block_corrupt(server, bid);
-    bool serve = true;
+  // The read itself, charged to the tier the copy came from.
+  const auto charge_read = [&plan](MemoryTier tier, Bytes stored) {
+    switch (tier) {
+      case MemoryTier::kRam:
+        plan.bytes_cache += stored;
+        break;
+      case MemoryTier::kRemote:
+        plan.bytes_remote += stored;
+        ++plan.remote_reads;
+        break;
+      case MemoryTier::kDisk:
+        plan.bytes_disk += stored;
+        break;
+    }
+  };
+  // Probe the hierarchy top-down: this executor's RAM, the disaggregated
+  // remote pool (a one-sided read beats both disk and recompute), then —
+  // MEMORY_AND_DISK only — this server's spill store. The first usable
+  // copy is served; lower-tier copies fault back up into this executor's
+  // cache when the task lands.
+  for (const MemoryTier tier :
+       {MemoryTier::kRam, MemoryTier::kRemote, MemoryTier::kDisk}) {
+    if (tier == MemoryTier::kRemote && ds->cache_requested()) {
+      // A miss only means something for datasets the program asked to
+      // cache; uncached intermediates are expected to recompute.
+      emit_cache_probe(false, bytes);
+      ++cache_stats_.misses;
+    }
+    if (tier == MemoryTier::kDisk &&
+        ds->storage_level() != Dataset::StorageLevel::kMemoryAndDisk) {
+      break;
+    }
+    const auto copy = cluster_->find_copy(tier, server, bid);
+    if (!copy) continue;
+    // RAM charges the dataset-derived footprint; lower tiers (always
+    // serialized) their stored copy.
+    const Bytes stored = tier != MemoryTier::kRam ? copy->bytes
+                         : serialized ? bytes * cost_.serialization_ratio
+                                      : bytes;
     if (options_.faults.verify_reads) {
       // Verified read: re-checksum the stored copy before trusting it.
       plan.cpu += cost_.verify_seconds(stored);
       stats_.bytes_reverified += stored;
-      if (corrupt) {
-        // Mismatch: drop the replica and fall through to lineage
-        // recompute. The probe downgrades to a miss — never serve
-        // poisoned bytes.
-        note_corruption_detected(server, ds->id(), partition, stored,
+      if (copy->corrupt) {
+        // Mismatch: drop the copy and keep falling down the hierarchy (then
+        // lineage) — never serve poisoned bytes. Below RAM the read
+        // happened before the checksum failed, so it is charged.
+        if (tier != MemoryTier::kRam) charge_read(tier, stored);
+        note_corruption_detected(copy->host, ds->id(), partition, stored,
                                  /*shuffle=*/false);
         pending_block_repair_.insert(bid);
-        cluster_->remove_block(server, bid);
-        serve = false;
+        cluster_->drop_copy(tier, server, bid);
+        continue;
       }
-    } else if (corrupt) {
+    } else if (copy->corrupt) {
       ++stats_.corrupt_reads_undetected;
     }
-    if (serve) {
-      if (serialized) {
-        // MEMORY_ONLY_SER / MEMORY_AND_DISK: smaller footprint, but every
-        // read pays deserialization.
-        const double deser = cost_.cpu_seconds(OpKind::kSourceParse, stored);
-        plan.cpu += deser;
-        plan.deserialize += deser;
-        plan.bytes_cache += stored;
-      } else {
-        plan.cpu += cost_.cpu_seconds(OpKind::kMemScan, bytes);
-        plan.bytes_cache += bytes;
-      }
-      emit_cache_probe(true, bytes);
-      ++cache_stats_.hits;
-      cache_stats_.bytes_from_cache += bytes;
-      // DAMON-style access sampling: served reads are the advisor's
-      // recency/frequency evidence against auto-freeing this dataset.
-      if (advisor_) advisor_->on_block_read(*ds, sim_->now());
-      cluster_->touch_block(server, bid);
-      if (options_.cache.pin_running_blocks) {
-        // The block must survive until this task releases it; the
-        // TaskScheduler pins at launch and unpins at resource release.
-        plan.blocks_referenced.push_back(bid);
-      }
-      return;
-    }
-  }
-  // A miss only means something for datasets the program asked to cache;
-  // uncached intermediates are expected to recompute.
-  if (ds->cache_requested()) {
-    emit_cache_probe(false, bytes);
-    ++cache_stats_.misses;
-  }
-  // The block may live one tier down, in the disaggregated remote-memory
-  // pool: a one-sided read there beats both disk and recompute, and the
-  // copy faults back up into this executor's cache when the task lands.
-  if (cluster_->remote_memory_enabled() && cluster_->remote_cached(bid)) {
-    const Bytes stored = cluster_->remote_block_bytes(bid);
-    const bool corrupt = cluster_->remote_block_corrupt(bid);
-    bool serve = true;
-    if (options_.faults.verify_reads) {
-      plan.cpu += cost_.verify_seconds(stored);
-      stats_.bytes_reverified += stored;
-      if (corrupt) {
-        // The one-sided read happened before the checksum failed; charge
-        // it, drop the poisoned pool copy and keep falling down the
-        // hierarchy (disk, then lineage) — never serve poisoned bytes.
-        plan.bytes_remote += stored;
-        ++plan.remote_reads;
-        note_corruption_detected(cluster_->remote_block_origin(bid), ds->id(),
-                                 partition, stored, /*shuffle=*/false);
-        pending_block_repair_.insert(bid);
-        cluster_->drop_remote_block(bid);
-        serve = false;
-      }
-    } else if (corrupt) {
-      ++stats_.corrupt_reads_undetected;
-    }
-    if (serve) {
-      // Pool copies are serialized (demoted from a spill-eligible store):
-      // pay the one-sided transfer plus deserialization.
+    if (tier == MemoryTier::kRam && !serialized) {
+      plan.cpu += cost_.cpu_seconds(OpKind::kMemScan, bytes);
+      plan.bytes_cache += bytes;
+    } else {
+      // Serialized copies (MEMORY_ONLY_SER / MEMORY_AND_DISK in RAM, every
+      // lower-tier copy): smaller footprint, but every read deserializes.
       const double deser = cost_.cpu_seconds(OpKind::kSourceParse, stored);
-      plan.bytes_remote += stored;
-      ++plan.remote_reads;
+      charge_read(tier, stored);
       plan.cpu += deser;
       plan.deserialize += deser;
-      ++cache_stats_.remote_hits;
-      cache_stats_.bytes_from_remote += stored;
-      cluster_->touch_remote_block(bid);
-      fault_back(ds, partition, server, boundary_id, stored,
-                 MemoryTier::kRemote, plan);
-      return;
     }
-  }
-  if (ds->storage_level() == Dataset::StorageLevel::kMemoryAndDisk &&
-      cluster_->disk_cached_on(bid, server)) {
-    const Bytes stored = cluster_->disk_block_bytes(server, bid);
-    const bool corrupt = cluster_->spilled_block_corrupt(server, bid);
-    bool serve = true;
-    if (options_.faults.verify_reads) {
-      plan.cpu += cost_.verify_seconds(stored);
-      stats_.bytes_reverified += stored;
-      if (corrupt) {
-        // The read happened before the checksum failed; charge it, drop
-        // the stale spilled copy and recompute from lineage instead.
-        plan.bytes_disk += stored;
-        note_corruption_detected(server, ds->id(), partition, stored,
-                                 /*shuffle=*/false);
-        pending_block_repair_.insert(bid);
-        cluster_->drop_spilled_block(server, bid);
-        serve = false;
-      }
-    } else if (corrupt) {
-      ++stats_.corrupt_reads_undetected;
+    switch (tier) {
+      case MemoryTier::kRam:
+        emit_cache_probe(true, bytes);
+        ++cache_stats_.hits;
+        cache_stats_.bytes_from_cache += bytes;
+        // DAMON-style access sampling: served reads are the advisor's
+        // recency/frequency evidence against auto-freeing this dataset.
+        if (advisor_) advisor_->on_block_read(*ds, sim_->now());
+        break;
+      case MemoryTier::kRemote:
+        ++cache_stats_.remote_hits;
+        cache_stats_.bytes_from_remote += stored;
+        break;
+      case MemoryTier::kDisk:
+        break;
     }
-    if (serve) {
-      // Spilled copy on local disk: read + deserialize, no recompute.
-      const double deser = cost_.cpu_seconds(OpKind::kSourceParse, stored);
-      plan.bytes_disk += stored;
-      plan.cpu += deser;
-      plan.deserialize += deser;
-      fault_back(ds, partition, server, boundary_id, stored, MemoryTier::kDisk,
-                 plan);
-      return;
+    cluster_->touch_copy(tier, server, bid);
+    if (tier != MemoryTier::kRam) {
+      fault_back(ds, partition, server, boundary_id, stored, tier, plan);
+    } else if (options_.cache.pin_running_blocks) {
+      // The block must survive until this task releases it; the
+      // TaskScheduler pins at launch and unpins at resource release.
+      plan.blocks_referenced.push_back(bid);
     }
+    return;
   }
   if (is_checkpointed(ds->id())) {
     const Bytes ck = bytes * cost_.serialization_ratio;
@@ -1734,17 +1677,7 @@ Bytes DagScheduler::retire_dataset(const DatasetPtr& ds) {
   ds->uncache();
   Bytes dropped = 0.0;
   for (int p = 0; p < ds->num_partitions(); ++p) {
-    const BlockId bid{ds->id(), p};
-    for (const ServerId s : cluster_->cache_locations(bid)) {
-      dropped += cluster_->server(s).storage().block_bytes(bid);
-    }
-    if (cluster_->remote_memory_enabled() && cluster_->remote_cached(bid)) {
-      dropped += cluster_->remote_block_bytes(bid);
-    }
-    for (ServerId s = 0; s < cluster_->size(); ++s) {
-      dropped += cluster_->disk_block_bytes(s, bid);
-    }
-    cluster_->remove_block_everywhere(bid);
+    dropped = cluster_->drop_everywhere({ds->id(), p}, dropped);
   }
   retired_.insert(ds->id());
   install_insert_filter();

@@ -125,15 +125,6 @@ class DagScheduler {
   JobId submit(DatasetPtr final, ActionType action, SubmitOptions opts = {},
                JobCallback cb = {});
 
-  // Legacy positional form: the app string doubled as the admission queue
-  // key. It now maps onto SubmitOptions::tenant (same partition, same
-  // limits), so behavior is unchanged — but migrate to the options form.
-  [[deprecated(
-      "pass SubmitOptions{.tenant = ...} (and a callback) instead of the "
-      "positional app string")]]
-  JobId submit(DatasetPtr final, ActionType action, JobCallback cb,
-               std::string app = {});
-
   // Submit and run the simulation until this job completes.
   JobResult run_job(DatasetPtr final, ActionType action = ActionType::kCount);
 
@@ -248,16 +239,14 @@ class DagScheduler {
   }
 
   // --- silent-data-corruption faults ---------------------------------------
-  // Flip the checksum tag on one stored copy (cached replica, spilled copy,
-  // or shuffle map-output unit). Returns false when no live copy exists.
-  // Detection happens later, on a verified read (faults.verify_reads); with
-  // verification off the corrupt copy is served silently and counted in
+  // Flip the checksum tag on one stored copy: a block copy in one tier (see
+  // Cluster::find_copy; the remote tier ignores `s`, and its detection
+  // charge lands on the copy's origin server) or a shuffle map-output unit.
+  // Returns false when no live copy exists. Detection happens later, on a
+  // verified read (faults.verify_reads); with verification off the corrupt
+  // copy is served silently and counted in
   // FailureStats::corrupt_reads_undetected.
-  bool corrupt_cached_block(ServerId s, const BlockId& id);
-  bool corrupt_spilled_block(ServerId s, const BlockId& id);
-  // Remote-memory pool copy; the detection charge lands on the copy's
-  // origin server (the executor that wrote it).
-  bool corrupt_remote_block(const BlockId& id);
+  bool corrupt_block(MemoryTier tier, ServerId s, const BlockId& id);
   bool corrupt_shuffle_output(const ShuffleKey& key, int unit);
 
   // Healthy, not-yet-corrupted shuffle map-output units, sorted by

@@ -49,24 +49,17 @@ void TaskScheduler::submit(TaskSetPtr ts) {
 
 void TaskScheduler::mark_ready(const std::shared_ptr<ActiveSet>& set) {
   if (set->in_ready || set->aborted || set->detached) return;
-  ready_.emplace(set->seq, set);
-  if (options_.fair_share) {
-    const auto t = static_cast<std::size_t>(
-        set->ts->tenant < 0 ? 0 : set->ts->tenant);
-    if (ready_by_tenant_.size() <= t) ready_by_tenant_.resize(t + 1);
-    ready_by_tenant_[t].emplace(set->seq, set);
-  }
+  const std::size_t b = ready_bucket(*set);
+  if (ready_by_tenant_.size() <= b) ready_by_tenant_.resize(b + 1);
+  ready_by_tenant_[b].emplace(set->seq, set);
+  ++ready_count_;
   set->in_ready = true;
 }
 
 void TaskScheduler::unready(ActiveSet& set) {
   if (!set.in_ready) return;
-  ready_.erase(set.seq);
-  if (options_.fair_share) {
-    const auto t =
-        static_cast<std::size_t>(set.ts->tenant < 0 ? 0 : set.ts->tenant);
-    if (t < ready_by_tenant_.size()) ready_by_tenant_[t].erase(set.seq);
-  }
+  ready_by_tenant_[ready_bucket(set)].erase(set.seq);
+  --ready_count_;
   set.in_ready = false;
 }
 
@@ -378,82 +371,60 @@ void TaskScheduler::schedule() {
     int free_cores = cluster_->total_free_cores();
     if (free_cores == 0) break;
     // Only sets with pending work are scanned: drained-but-running sets
-    // (the common case under saturation) never appear in ready_, so a pass
-    // costs O(ready sets), not O(all live sets).
+    // (the common case under saturation) never appear in the ready queue,
+    // so a pass costs O(ready sets), not O(all live sets).
     //
     // Backlog guard: with a deep ready queue, scanning every blocked set
     // per event is quadratic. After enough consecutive fruitless sets,
     // stop and revisit shortly — at that depth the queueing delay dwarfs
     // the revisit granularity anyway. The timer is only a backstop: any
     // completion that frees a core re-enters schedule() immediately.
-    const bool deep_backlog = ready_.size() > options_.deep_backlog_threshold;
+    const bool deep_backlog = ready_count_ > options_.deep_backlog_threshold;
     int fruitless = 0;
-    if (!options_.fair_share) {
-      for (auto rit = ready_.begin(); rit != ready_.end() && free_cores > 0;) {
-        if (deep_backlog && fruitless > options_.backlog_fruitless_limit) {
-          arm_timer(sim_->now() + options_.backlog_revisit_interval);
-          break;
-        }
-        ++fruitless;
-        const std::shared_ptr<ActiveSet> set = rit->second;
-        if (offer_to_set(set, free_cores, launch_failures)) {
-          progress = true;
-          fruitless = 0;
-        }
-        if (set->pending.empty()) {
-          set->in_ready = false;
-          rit = ready_.erase(rit);
-        } else {
-          ++rit;
-        }
+    // Each step offers the oldest ready set of the bucket with the lowest
+    // running-cores/weight ratio (ties: lowest bucket). With fair_share off
+    // every set shares bucket 0, so this is the plain FIFO scan. A bucket
+    // whose head set cannot place anything is stepped past so its later
+    // sets still get offers this pass; the outer progress loop restarts
+    // the scan from every bucket's oldest set once anything launches.
+    const int nt = static_cast<int>(ready_by_tenant_.size());
+    ready_its_.resize(static_cast<std::size_t>(nt));
+    for (int t = 0; t < nt; ++t) {
+      ready_its_[static_cast<std::size_t>(t)] =
+          ready_by_tenant_[static_cast<std::size_t>(t)].begin();
+    }
+    while (free_cores > 0) {
+      if (deep_backlog && fruitless > options_.backlog_fruitless_limit) {
+        arm_timer(sim_->now() + options_.backlog_revisit_interval);
+        break;
       }
-    } else {
-      // Weighted fair-share: each step offers the oldest ready set of the
-      // tenant with the lowest running-cores/weight ratio (ties: lowest
-      // tenant id). A tenant whose head set cannot place anything is
-      // stepped past so its later sets still get offers this pass; the
-      // outer progress loop restarts the scan from every tenant's oldest
-      // set once anything launches.
-      const int nt = static_cast<int>(ready_by_tenant_.size());
-      std::vector<std::map<std::uint64_t, std::shared_ptr<ActiveSet>>::iterator>
-          its(static_cast<std::size_t>(nt));
+      int best = -1;
+      double best_share = 0.0;
       for (int t = 0; t < nt; ++t) {
-        its[static_cast<std::size_t>(t)] =
-            ready_by_tenant_[static_cast<std::size_t>(t)].begin();
+        if (ready_its_[static_cast<std::size_t>(t)] ==
+            ready_by_tenant_[static_cast<std::size_t>(t)].end()) {
+          continue;
+        }
+        const double share = weighted_share(t);
+        if (best < 0 || share < best_share) {
+          best = t;
+          best_share = share;
+        }
       }
-      while (free_cores > 0) {
-        if (deep_backlog && fruitless > options_.backlog_fruitless_limit) {
-          arm_timer(sim_->now() + options_.backlog_revisit_interval);
-          break;
-        }
-        int best = -1;
-        double best_share = 0.0;
-        for (int t = 0; t < nt; ++t) {
-          if (its[static_cast<std::size_t>(t)] ==
-              ready_by_tenant_[static_cast<std::size_t>(t)].end()) {
-            continue;
-          }
-          const double share = weighted_share(t);
-          if (best < 0 || share < best_share) {
-            best = t;
-            best_share = share;
-          }
-        }
-        if (best < 0) break;  // no tenant has an unvisited ready set
-        auto& bit = its[static_cast<std::size_t>(best)];
-        ++fruitless;
-        const std::shared_ptr<ActiveSet> set = bit->second;
-        if (offer_to_set(set, free_cores, launch_failures)) {
-          progress = true;
-          fruitless = 0;
-        }
-        if (set->pending.empty()) {
-          set->in_ready = false;
-          bit = ready_by_tenant_[static_cast<std::size_t>(best)].erase(bit);
-          ready_.erase(set->seq);
-        } else {
-          ++bit;
-        }
+      if (best < 0) break;  // no bucket has an unvisited ready set
+      auto& bit = ready_its_[static_cast<std::size_t>(best)];
+      ++fruitless;
+      const std::shared_ptr<ActiveSet> set = bit->second;
+      if (offer_to_set(set, free_cores, launch_failures)) {
+        progress = true;
+        fruitless = 0;
+      }
+      if (set->pending.empty()) {
+        set->in_ready = false;
+        --ready_count_;
+        bit = ready_by_tenant_[static_cast<std::size_t>(best)].erase(bit);
+      } else {
+        ++bit;
       }
     }
   }

@@ -170,8 +170,8 @@ class TaskScheduler {
     double backlog_revisit_interval = 0.2;
     // Weighted fair-share across tenants: each scheduling step offers the
     // oldest ready set of the tenant with the lowest weighted running-core
-    // share (tenant weights via set_tenant_weight). Off: the historical
-    // FIFO ready-set scan, byte-identical to a build without tenants.
+    // share (tenant weights via set_tenant_weight). Off: every set shares
+    // one ready bucket, the FIFO scan of a build without tenants.
     bool fair_share = false;
     // Retry / exclusion knobs (see FaultOptions in sched/task.h).
     FaultOptions faults;
@@ -434,6 +434,12 @@ class TaskScheduler {
                     std::set<ServerId>& launch_failures);
   // Fair-share pick metric: running cores / weight for the tenant.
   double weighted_share(TenantId tenant) const noexcept;
+  // Ready-queue bucket of a set: its tenant under fair_share, else 0 (FIFO
+  // is fair-share with a single bucket).
+  std::size_t ready_bucket(const ActiveSet& set) const noexcept {
+    if (!options_.fair_share || set.ts->tenant < 0) return 0;
+    return static_cast<std::size_t>(set.ts->tenant);
+  }
   // Driver is willing to offer this server's slots to this task. Reads the
   // per-sweep offer cache for the set-independent half of the predicate;
   // callers must be downstream of rebuild_offer_cache().
@@ -455,16 +461,16 @@ class TaskScheduler {
   std::function<bool(const BlockId&)> block_insert_filter_;
 
   std::list<std::shared_ptr<ActiveSet>> task_sets_;  // FIFO, all live sets
-  // Sets with pending work, keyed by submission sequence so iteration
-  // reproduces the FIFO scan order exactly while skipping the (usually
-  // numerous) drained-but-running sets.
-  std::map<std::uint64_t, std::shared_ptr<ActiveSet>> ready_;
-  // Fair-share state. ready_by_tenant_ mirrors ready_ (same sets, bucketed
-  // by TaskSet::tenant) and is maintained only when Options::fair_share —
-  // the plain path never touches it. The core counters are kept in both
-  // modes (pure accounting next to set->running updates).
-  std::vector<std::map<std::uint64_t, std::shared_ptr<ActiveSet>>>
-      ready_by_tenant_;
+  // The ready queue: sets with pending work, bucketed by ready_bucket and
+  // keyed by submission sequence so each bucket iterates in FIFO order
+  // while skipping the (usually numerous) drained-but-running sets.
+  using ReadySets = std::map<std::uint64_t, std::shared_ptr<ActiveSet>>;
+  std::vector<ReadySets> ready_by_tenant_;
+  std::size_t ready_count_ = 0;  // sets across all buckets
+  // Per-bucket scan cursors; member scratch so a pass allocates nothing.
+  std::vector<ReadySets::iterator> ready_its_;
+  // Fair-share pick inputs. The core counters are kept in both modes (pure
+  // accounting next to set->running updates).
   std::vector<double> tenant_weight_;      // index = TenantId; empty slot = 1
   std::vector<int> tenant_running_cores_;  // index = TenantId
   // Secondary indexes so unpark / cancel_job touch only their own sets

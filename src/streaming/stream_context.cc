@@ -55,7 +55,7 @@ void StreamContext::evict_expired() {
     DatasetPtr old = window_.front().data;
     old->uncache();
     for (int p = 0; p < old->num_partitions(); ++p) {
-      dag_->cluster().remove_block_everywhere({old->id(), p});
+      dag_->cluster().drop_everywhere({old->id(), p});
     }
     window_.pop_front();
   }

@@ -109,20 +109,6 @@ TEST(Context, IngestRejectsBadSourceSplits) {
                std::invalid_argument);
 }
 
-// The one intentional caller of the deprecated positional-flag overload:
-// it must keep behaving exactly like the IngestOptions form until removal.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Context, DeprecatedIngestShimMatchesIngestOptions) {
-  Context ctx(opts(ConfigKind::kStarkH));
-  auto part = ctx.collection_partitioner(8, 512);
-  auto ds = ctx.ingest("d", hist(), part, "logs", 2, /*materialize=*/false);
-  EXPECT_FALSE(ctx.cluster().cached_anywhere({ds->id(), 0}));
-  EXPECT_DOUBLE_EQ(ctx.sim().now(), 0.0);
-  EXPECT_EQ(ds->ns(), "logs");
-}
-#pragma GCC diagnostic pop
-
 TEST(Context, IngestUnderStockSparkDropsNamespace) {
   Context ctx(opts(ConfigKind::kSparkH));
   auto part = ctx.collection_partitioner(8, 512);

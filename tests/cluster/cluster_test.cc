@@ -42,10 +42,10 @@ TEST(Cluster, RemoveBlockSingleReplica) {
   Cluster c(small_cluster());
   c.insert_block(0, {1, 0}, 10.0);
   c.insert_block(1, {1, 0}, 10.0);
-  c.remove_block(0, {1, 0});
+  EXPECT_TRUE(c.drop_copy(MemoryTier::kRam, 0, {1, 0}));
   EXPECT_TRUE(c.cached_anywhere({1, 0}));
   EXPECT_FALSE(c.cached_on({1, 0}, 0));
-  c.remove_block_everywhere({1, 0});
+  EXPECT_DOUBLE_EQ(c.drop_everywhere({1, 0}), 10.0);  // the one replica left
   EXPECT_FALSE(c.cached_anywhere({1, 0}));
 }
 
@@ -81,7 +81,7 @@ TEST(Cluster, ObserverSeesInsertAndEvict) {
   });
   c.insert_block(0, {1, 0}, 300.0);
   c.insert_block(0, {2, 0}, 300.0);  // evicts {1,0}
-  c.remove_block(0, {2, 0});
+  c.drop_copy(MemoryTier::kRam, 0, {2, 0});
   EXPECT_EQ(inserts, 2);
   EXPECT_EQ(removes, 2);
 }

@@ -26,6 +26,14 @@ RemoteMemoryPool make_pool(Bytes capacity) {
                           [](DatasetId) { return 0; });
 }
 
+bool in_pool(const Cluster& c, const BlockId& id) {
+  return c.find_copy(MemoryTier::kRemote, kInvalidId, id).has_value();
+}
+
+bool on_disk(const Cluster& c, const BlockId& id, ServerId s) {
+  return c.find_copy(MemoryTier::kDisk, s, id).has_value();
+}
+
 ClusterConfig small_cluster(Bytes pool_capacity = 0.0) {
   ClusterConfig c;
   c.num_servers = 4;
@@ -46,10 +54,10 @@ TEST(RemoteMemoryPool, InsertAndLookup) {
   const auto r = pool.insert({1, 0}, 300.0, false, 2);
   EXPECT_TRUE(r.stored);
   EXPECT_TRUE(r.evicted.empty());
-  EXPECT_TRUE(pool.contains({1, 0}));
-  EXPECT_DOUBLE_EQ(pool.block_bytes({1, 0}), 300.0);
-  EXPECT_EQ(pool.origin_of({1, 0}), 2);
-  EXPECT_FALSE(pool.is_corrupt({1, 0}));
+  ASSERT_NE(pool.find({1, 0}), nullptr);
+  EXPECT_DOUBLE_EQ(pool.find({1, 0})->bytes, 300.0);
+  EXPECT_EQ(pool.find({1, 0})->origin, 2);
+  EXPECT_FALSE(pool.find({1, 0})->corrupted);
   EXPECT_DOUBLE_EQ(pool.used(), 300.0);
   EXPECT_EQ(pool.stats().demotions_in, 1);
 }
@@ -64,9 +72,9 @@ TEST(RemoteMemoryPool, EvictsLruVictimsToMakeRoom) {
   ASSERT_EQ(r.evicted.size(), 1u);
   EXPECT_EQ(r.evicted[0].id, (BlockId{2, 0}));
   EXPECT_EQ(r.evicted[0].origin, 1);
-  EXPECT_FALSE(pool.contains({2, 0}));
-  EXPECT_TRUE(pool.contains({1, 0}));
-  EXPECT_TRUE(pool.contains({3, 0}));
+  EXPECT_EQ(pool.find({2, 0}), nullptr);
+  EXPECT_NE(pool.find({1, 0}), nullptr);
+  EXPECT_NE(pool.find({3, 0}), nullptr);
 }
 
 TEST(RemoteMemoryPool, OverwriteReplacesWithoutLeak) {
@@ -75,8 +83,9 @@ TEST(RemoteMemoryPool, OverwriteReplacesWithoutLeak) {
   const auto r = pool.insert({1, 0}, 250.0, false, 3);  // re-demotion
   EXPECT_TRUE(r.stored);
   EXPECT_DOUBLE_EQ(pool.used(), 250.0);
-  EXPECT_EQ(pool.origin_of({1, 0}), 3);
-  EXPECT_FALSE(pool.is_corrupt({1, 0}));  // last writer wins, clean copy
+  ASSERT_NE(pool.find({1, 0}), nullptr);
+  EXPECT_EQ(pool.find({1, 0})->origin, 3);
+  EXPECT_FALSE(pool.find({1, 0})->corrupted);  // last writer wins, clean copy
   EXPECT_EQ(pool.num_blocks(), 1u);
 }
 
@@ -85,7 +94,7 @@ TEST(RemoteMemoryPool, RejectsBlockLargerThanCapacity) {
   pool.insert({1, 0}, 400.0, false, 0);
   const auto r = pool.insert({2, 0}, 1500.0, false, 1);
   EXPECT_FALSE(r.stored);
-  EXPECT_TRUE(pool.contains({1, 0}));  // hopeless insert evicts nothing
+  EXPECT_NE(pool.find({1, 0}), nullptr);  // hopeless insert evicts nothing
   EXPECT_TRUE(r.evicted.empty());
   EXPECT_EQ(pool.stats().rejected_no_room, 1);
 }
@@ -127,11 +136,12 @@ TEST(RemoteMemoryOptions, ValidateRejectsEnabledWithoutCapacity) {
 TEST(ClusterRemoteMemory, DisabledTierIsInert) {
   Cluster c(small_cluster());
   EXPECT_FALSE(c.remote_memory_enabled());
-  EXPECT_FALSE(c.remote_cached({1, 0}));
-  EXPECT_DOUBLE_EQ(c.remote_block_bytes({1, 0}), 0.0);
-  EXPECT_EQ(c.remote_block_origin({1, 0}), kInvalidId);
-  EXPECT_FALSE(c.corrupt_remote_block({1, 0}));
-  EXPECT_FALSE(c.drop_remote_block({1, 0}));
+  EXPECT_FALSE(in_pool(c, {1, 0}));
+  EXPECT_DOUBLE_EQ(c.drop_everywhere({1, 0}), 0.0);
+  EXPECT_FALSE(c.find_copy(MemoryTier::kRemote, 0, {1, 0}));  // any server
+  EXPECT_FALSE(c.corrupt_copy(MemoryTier::kRemote, kInvalidId, {1, 0}));
+  EXPECT_FALSE(c.drop_copy(MemoryTier::kRemote, kInvalidId, {1, 0}));
+  c.touch_copy(MemoryTier::kRemote, kInvalidId, {1, 0});  // safe no-op
   EXPECT_DOUBLE_EQ(c.remote_used_bytes(), 0.0);
   EXPECT_TRUE(c.remote_blocks().empty());
   EXPECT_EQ(c.remote_stats(), nullptr);
@@ -142,9 +152,9 @@ TEST(ClusterRemoteMemory, SpillEvictionDemotesToPoolNotDisk) {
   c.insert_block(0, {1, 0}, 300.0, /*spill_on_evict=*/true);
   c.insert_block(0, {2, 0}, 300.0, /*spill_on_evict=*/true);  // evicts {1,0}
   EXPECT_FALSE(c.cached_anywhere({1, 0}));
-  EXPECT_TRUE(c.remote_cached({1, 0}));
-  EXPECT_EQ(c.remote_block_origin({1, 0}), 0);
-  EXPECT_FALSE(c.disk_cached_on({1, 0}, 0));  // pool intercepted the spill
+  ASSERT_TRUE(in_pool(c, {1, 0}));
+  EXPECT_EQ(c.find_copy(MemoryTier::kRemote, kInvalidId, {1, 0})->host, 0);
+  EXPECT_FALSE(on_disk(c, {1, 0}, 0));  // pool intercepted the spill
   EXPECT_DOUBLE_EQ(c.total_spilled_bytes(), 0.0);
   ASSERT_NE(c.remote_stats(), nullptr);
   EXPECT_EQ(c.remote_stats()->demotions_in, 1);
@@ -158,10 +168,10 @@ TEST(ClusterRemoteMemory, PoolOverflowCascadesToOriginDisk) {
   c.insert_block(0, {2, 0}, 300.0, true);  // {1,0} -> pool
   c.insert_block(1, {3, 0}, 300.0, true);
   c.insert_block(1, {4, 0}, 300.0, true);  // {3,0} -> pool, {1,0} -> disk 0
-  EXPECT_TRUE(c.remote_cached({3, 0}));
-  EXPECT_FALSE(c.remote_cached({1, 0}));
-  EXPECT_TRUE(c.disk_cached_on({1, 0}, 0));  // landed on origin, not server 1
-  EXPECT_FALSE(c.disk_cached_on({1, 0}, 1));
+  EXPECT_TRUE(in_pool(c, {3, 0}));
+  EXPECT_FALSE(in_pool(c, {1, 0}));
+  EXPECT_TRUE(on_disk(c, {1, 0}, 0));  // landed on origin, not server 1
+  EXPECT_FALSE(on_disk(c, {1, 0}, 1));
   EXPECT_DOUBLE_EQ(c.disk_used_bytes(0), 300.0);
   EXPECT_EQ(c.remote_stats()->evictions_to_disk, 1);
 }
@@ -172,10 +182,10 @@ TEST(ClusterRemoteMemory, PromotionSupersedesPoolCopy) {
   Cluster c(small_cluster(/*pool_capacity=*/10000.0));
   c.insert_block(0, {1, 0}, 300.0, true);
   c.insert_block(0, {2, 0}, 300.0, true);  // {1,0} -> pool
-  ASSERT_TRUE(c.remote_cached({1, 0}));
+  ASSERT_TRUE(in_pool(c, {1, 0}));
   EXPECT_TRUE(c.insert_block(1, {1, 0}, 300.0, true));  // fault back up
   EXPECT_TRUE(c.cached_on({1, 0}, 1));
-  EXPECT_FALSE(c.remote_cached({1, 0}));
+  EXPECT_FALSE(in_pool(c, {1, 0}));
 }
 
 TEST(ClusterRemoteMemory, KillServerLeavesPoolEntriesIntact) {
@@ -188,7 +198,7 @@ TEST(ClusterRemoteMemory, KillServerLeavesPoolEntriesIntact) {
   c.kill_server(0);
   EXPECT_FALSE(c.cached_anywhere({3, 9}));
   EXPECT_DOUBLE_EQ(c.disk_used_bytes(0), 0.0);
-  EXPECT_TRUE(c.remote_cached({1, 0}));  // survives its origin's death
+  EXPECT_TRUE(in_pool(c, {1, 0}));  // survives its origin's death
 }
 
 TEST(ClusterRemoteMemory, DeadOriginPoolVictimIsDropped) {
@@ -201,8 +211,8 @@ TEST(ClusterRemoteMemory, DeadOriginPoolVictimIsDropped) {
   c.kill_server(0);
   c.insert_block(1, {3, 0}, 300.0, true);
   c.insert_block(1, {4, 0}, 300.0, true);  // {3,0} -> pool, {1,0} victim
-  EXPECT_FALSE(c.remote_cached({1, 0}));
-  EXPECT_FALSE(c.disk_cached_on({1, 0}, 0));
+  EXPECT_FALSE(in_pool(c, {1, 0}));
+  EXPECT_FALSE(on_disk(c, {1, 0}, 0));
   EXPECT_DOUBLE_EQ(c.disk_used_bytes(0), 0.0);
   EXPECT_EQ(c.remote_stats()->dropped_dead_origin, 1);
 }
@@ -210,23 +220,24 @@ TEST(ClusterRemoteMemory, DeadOriginPoolVictimIsDropped) {
 TEST(ClusterRemoteMemory, CorruptionTagTravelsAndDropReleasesBytes) {
   Cluster c(small_cluster(/*pool_capacity=*/10000.0));
   c.insert_block(0, {1, 0}, 300.0, true);
-  ASSERT_TRUE(c.corrupt_cached_block(0, {1, 0}));
+  ASSERT_TRUE(c.corrupt_copy(MemoryTier::kRam, 0, {1, 0}));
   c.insert_block(0, {2, 0}, 300.0, true);  // corrupt {1,0} -> pool
-  ASSERT_TRUE(c.remote_cached({1, 0}));
-  EXPECT_TRUE(c.remote_block_corrupt({1, 0}));  // tag travelled down
+  ASSERT_TRUE(in_pool(c, {1, 0}));
+  // Tag travelled down.
+  EXPECT_TRUE(c.find_copy(MemoryTier::kRemote, kInvalidId, {1, 0})->corrupt);
   EXPECT_DOUBLE_EQ(c.remote_used_bytes(), 300.0);
-  EXPECT_TRUE(c.drop_remote_block({1, 0}));
-  EXPECT_FALSE(c.remote_cached({1, 0}));
-  EXPECT_EQ(c.remote_used_bytes(), 0.0);      // dropped bytes released, exact
-  EXPECT_FALSE(c.drop_remote_block({1, 0}));  // idempotent
+  EXPECT_TRUE(c.drop_copy(MemoryTier::kRemote, kInvalidId, {1, 0}));
+  EXPECT_FALSE(in_pool(c, {1, 0}));
+  EXPECT_EQ(c.remote_used_bytes(), 0.0);  // dropped bytes released, exact
+  EXPECT_FALSE(c.drop_copy(MemoryTier::kRemote, kInvalidId, {1, 0}));
 }
 
 // --- satellite 1: presence vs size ------------------------------------------
 
 TEST(ClusterRemoteMemory, ZeroByteSpilledBlockReadsAsPresent) {
   // A legitimately empty partition (fully filtered dataset) spilled to disk
-  // must read back as *present*; `disk_block_bytes > 0` as a presence test
-  // forced a needless recompute.
+  // must read back as *present*; treating a zero-byte copy as absent forced
+  // a needless recompute.
   Cluster c(small_cluster());
   c.insert_block(2, {1, 0}, 0.0, /*spill_on_evict=*/true);
   c.insert_block(2, {1, 5}, 300.0, true);
@@ -234,10 +245,10 @@ TEST(ClusterRemoteMemory, ZeroByteSpilledBlockReadsAsPresent) {
   // nothing) and keep evicting; both land in the disk store.
   c.insert_block(2, {2, 0}, 500.0, true);
   EXPECT_FALSE(c.cached_anywhere({1, 0}));
-  EXPECT_TRUE(c.disk_cached_on({1, 0}, 2));
-  EXPECT_DOUBLE_EQ(c.disk_block_bytes(2, {1, 0}), 0.0);
-  EXPECT_TRUE(c.drop_spilled_block(2, {1, 0}));
-  EXPECT_FALSE(c.disk_cached_on({1, 0}, 2));
+  ASSERT_TRUE(on_disk(c, {1, 0}, 2));
+  EXPECT_DOUBLE_EQ(c.find_copy(MemoryTier::kDisk, 2, {1, 0})->bytes, 0.0);
+  EXPECT_TRUE(c.drop_copy(MemoryTier::kDisk, 2, {1, 0}));
+  EXPECT_FALSE(on_disk(c, {1, 0}, 2));
 }
 
 // --- satellite 2: iteration-order independence -------------------------------
@@ -289,7 +300,7 @@ TEST(ClusterRemoteMemory, AccountingSurvivesDropCorruptRespillAndLoss) {
     for (ServerId s = 0; s < c.size(); ++s) {
       Bytes sum = 0.0;
       for (const BlockId& id : c.spilled_blocks(s)) {
-        sum += c.disk_block_bytes(s, id);
+        sum += c.find_copy(MemoryTier::kDisk, s, id)->bytes;
       }
       EXPECT_GE(c.disk_used_bytes(s), 0.0);
       EXPECT_DOUBLE_EQ(c.disk_used_bytes(s), sum);
@@ -300,14 +311,14 @@ TEST(ClusterRemoteMemory, AccountingSurvivesDropCorruptRespillAndLoss) {
   c.insert_block(0, {2, 0}, 200.0, true);
   c.insert_block(0, {3, 0}, 400.0, true);  // evicts both to disk
   check_invariant();
-  ASSERT_TRUE(c.disk_cached_on({1, 0}, 0));
+  ASSERT_TRUE(on_disk(c, {1, 0}, 0));
   // Corrupt one spilled copy, then drop it: bytes must not leak.
-  ASSERT_TRUE(c.corrupt_spilled_block(0, {1, 0}));
-  EXPECT_TRUE(c.drop_spilled_block(0, {1, 0}));
+  ASSERT_TRUE(c.corrupt_copy(MemoryTier::kDisk, 0, {1, 0}));
+  EXPECT_TRUE(c.drop_copy(MemoryTier::kDisk, 0, {1, 0}));
   check_invariant();
   // Re-spill the same id at a different size: overwrite, not double-count.
   c.insert_block(0, {2, 0}, 350.0, true);   // promote back to RAM first
-  EXPECT_FALSE(c.disk_cached_on({2, 0}, 0));  // promotion superseded disk
+  EXPECT_FALSE(on_disk(c, {2, 0}, 0));  // promotion superseded disk
   c.insert_block(0, {4, 0}, 400.0, true);   // evict it again
   check_invariant();
   // Executor loss zeroes the counter with the store.
@@ -323,16 +334,16 @@ TEST(ClusterRemoteMemory, FailedReinsertKeepsSpilledCopyAndCleansIndex) {
   Cluster c(small_cluster());
   c.insert_block(0, {1, 0}, 300.0, true);
   c.insert_block(0, {2, 0}, 300.0, true);  // {1,0} spills to disk
-  ASSERT_TRUE(c.disk_cached_on({1, 0}, 0));
+  ASSERT_TRUE(on_disk(c, {1, 0}, 0));
   // Pin the resident block so eviction can't free room, then try to
   // re-insert {1,0} at a size that can no longer fit.
   c.pin_block(0, {2, 0});
   EXPECT_FALSE(c.insert_block(0, {1, 0}, 400.0, true));
   EXPECT_FALSE(c.cached_on({1, 0}, 0));     // no phantom index entry
-  EXPECT_TRUE(c.disk_cached_on({1, 0}, 0));  // disk copy survived the miss
+  EXPECT_TRUE(on_disk(c, {1, 0}, 0));  // disk copy survived the miss
   // Same contract for a block bigger than the whole store.
   EXPECT_FALSE(c.insert_block(0, {1, 0}, 900.0, true));
-  EXPECT_TRUE(c.disk_cached_on({1, 0}, 0));
+  EXPECT_TRUE(on_disk(c, {1, 0}, 0));
   // And the resident block: a failed resize-in-place (store drops the old
   // copy, new size doesn't fit) must clean the index entry too.
   c.unpin_block(0, {2, 0});

@@ -34,6 +34,25 @@ ContextOptions options(bool verify) {
   return o;
 }
 
+// Whether `id` has a copy in `tier` on `s` (the remote tier ignores `s`)
+// and that copy carries a bad checksum.
+bool corrupt_in(Context& ctx, MemoryTier tier, const BlockId& id,
+                ServerId s = kInvalidId) {
+  const auto copy = ctx.cluster().find_copy(tier, s, id);
+  return copy && copy->corrupt;
+}
+
+// A copy of `id` in RAM, the remote pool or any server's spill store.
+bool available_anywhere(Context& ctx, const BlockId& id) {
+  const Cluster& c = ctx.cluster();
+  bool available = c.cached_anywhere(id) ||
+                   c.find_copy(MemoryTier::kRemote, kInvalidId, id);
+  for (ServerId s = 0; s < c.size() && !available; ++s) {
+    available = c.find_copy(MemoryTier::kDisk, s, id).has_value();
+  }
+  return available;
+}
+
 // First server hosting a cached replica of {ds, p}, or kInvalidId.
 ServerId replica_host(Context& ctx, DatasetId ds, int p) {
   const auto locs = ctx.cluster().cache_locations({ds, p});
@@ -46,8 +65,8 @@ TEST(Corruption, CachedBlockDetectedAndRecomputed) {
   auto ds = ctx.ingest("d", wiki_hist(120 * kMiB), part, "logs");
   const ServerId victim = replica_host(ctx, ds->id(), 0);
   ASSERT_NE(victim, kInvalidId);
-  ASSERT_TRUE(ctx.corrupt_cached_block(victim, {ds->id(), 0}));
-  EXPECT_TRUE(ctx.cluster().cached_block_corrupt(victim, {ds->id(), 0}));
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kRam, victim, {ds->id(), 0}));
+  EXPECT_TRUE(corrupt_in(ctx, MemoryTier::kRam, {ds->id(), 0}, victim));
 
   const auto r = ctx.count(ds);
   EXPECT_TRUE(r.completed);
@@ -60,7 +79,7 @@ TEST(Corruption, CachedBlockDetectedAndRecomputed) {
   // The partition is cached again and every replica is clean.
   EXPECT_TRUE(ctx.cluster().cached_anywhere({ds->id(), 0}));
   for (ServerId s : ctx.cluster().cache_locations({ds->id(), 0})) {
-    EXPECT_FALSE(ctx.cluster().cached_block_corrupt(s, {ds->id(), 0}));
+    EXPECT_FALSE(corrupt_in(ctx, MemoryTier::kRam, {ds->id(), 0}, s));
   }
 }
 
@@ -70,7 +89,7 @@ TEST(Corruption, UnverifiedReadIsSilentButCounted) {
   auto ds = ctx.ingest("d", wiki_hist(120 * kMiB), part, "logs");
   const ServerId victim = replica_host(ctx, ds->id(), 0);
   ASSERT_NE(victim, kInvalidId);
-  ASSERT_TRUE(ctx.corrupt_cached_block(victim, {ds->id(), 0}));
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kRam, victim, {ds->id(), 0}));
 
   const auto r = ctx.count(ds);
   EXPECT_TRUE(r.completed);  // "completed" — with poisoned data
@@ -79,7 +98,7 @@ TEST(Corruption, UnverifiedReadIsSilentButCounted) {
   EXPECT_GT(st.corrupt_reads_undetected, 0);
   EXPECT_DOUBLE_EQ(st.bytes_reverified, 0.0);
   // The rot stays in place for the next reader too.
-  EXPECT_TRUE(ctx.cluster().cached_block_corrupt(victim, {ds->id(), 0}));
+  EXPECT_TRUE(corrupt_in(ctx, MemoryTier::kRam, {ds->id(), 0}, victim));
 }
 
 TEST(Corruption, SpilledBlockCorruptionRecomputesNotStaleHit) {
@@ -113,7 +132,7 @@ TEST(Corruption, SpilledBlockCorruptionRecomputesNotStaleHit) {
     }
   }
   ASSERT_NE(host, kInvalidId) << "no partition of `a` was spilled";
-  ASSERT_TRUE(ctx.corrupt_spilled_block(host, spilled));
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kDisk, host, spilled));
 
   const auto r = ctx.count(a);
   EXPECT_TRUE(r.completed);
@@ -122,12 +141,8 @@ TEST(Corruption, SpilledBlockCorruptionRecomputesNotStaleHit) {
   EXPECT_EQ(st.corrupt_reads_undetected, 0);
   // The corrupt disk copy is gone; the partition is available again from a
   // clean copy (recomputed into memory, possibly re-spilled since).
-  EXPECT_FALSE(ctx.cluster().spilled_block_corrupt(host, spilled));
-  bool available = ctx.cluster().cached_anywhere(spilled);
-  for (ServerId s = 0; s < ctx.cluster().size() && !available; ++s) {
-    available = ctx.cluster().disk_cached_on(spilled, s);
-  }
-  EXPECT_TRUE(available);
+  EXPECT_FALSE(corrupt_in(ctx, MemoryTier::kDisk, spilled, host));
+  EXPECT_TRUE(available_anywhere(ctx, spilled));
   (void)b;
 }
 
@@ -148,7 +163,7 @@ TEST(Corruption, ShuffleOutputCorruptionResubmitsMapStage) {
   ASSERT_TRUE(ctx.corrupt_shuffle_output(refs[0].key, refs[0].unit));
   // Drop the cached result so the re-run must fetch the shuffle again.
   for (int p = 0; p < cg->num_partitions(); ++p) {
-    ctx.cluster().remove_block_everywhere({cg->id(), p});
+    ctx.cluster().drop_everywhere({cg->id(), p});
   }
 
   const auto r = ctx.count(cg);
@@ -191,7 +206,7 @@ TEST(Corruption, QuarantineChargesHostingExecutor) {
     int corrupted = 0;
     for (int p = 0; p < ds->num_partitions(); ++p) {
       if (ctx.cluster().cached_on({ds->id(), p}, victim) &&
-          ctx.corrupt_cached_block(victim, {ds->id(), p})) {
+          ctx.corrupt_block(MemoryTier::kRam, victim, {ds->id(), p})) {
         ++corrupted;
       }
     }
@@ -331,8 +346,8 @@ TEST(Corruption, EvictDemoteCorruptReadChainRecovers) {
   RemoteChain rc = build_remote_chain(/*verify=*/true);
   Context& ctx = *rc.ctx;
   ASSERT_NE(rc.victim.dataset, kInvalidId) << "no partition of `a` demoted";
-  ASSERT_TRUE(ctx.corrupt_remote_block(rc.victim));
-  EXPECT_TRUE(ctx.cluster().remote_block_corrupt(rc.victim));
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kRemote, kInvalidId, rc.victim));
+  EXPECT_TRUE(corrupt_in(ctx, MemoryTier::kRemote, rc.victim));
 
   const auto r = ctx.count(rc.a);
   EXPECT_TRUE(r.completed);
@@ -341,20 +356,15 @@ TEST(Corruption, EvictDemoteCorruptReadChainRecovers) {
   EXPECT_GE(st.corruptions_detected, 1);
   EXPECT_EQ(st.corrupt_reads_undetected, 0);
   // The poisoned pool copy is gone; whatever copy exists now is clean.
-  EXPECT_FALSE(ctx.cluster().remote_block_corrupt(rc.victim));
-  bool available = ctx.cluster().cached_anywhere(rc.victim) ||
-                   ctx.cluster().remote_cached(rc.victim);
-  for (ServerId s = 0; s < ctx.cluster().size() && !available; ++s) {
-    available = ctx.cluster().disk_cached_on(rc.victim, s);
-  }
-  EXPECT_TRUE(available);
+  EXPECT_FALSE(corrupt_in(ctx, MemoryTier::kRemote, rc.victim));
+  EXPECT_TRUE(available_anywhere(ctx, rc.victim));
 }
 
 TEST(Corruption, RemoteCopyUnverifiedReadIsSilentButCounted) {
   RemoteChain rc = build_remote_chain(/*verify=*/false);
   Context& ctx = *rc.ctx;
   ASSERT_NE(rc.victim.dataset, kInvalidId) << "no partition of `a` demoted";
-  ASSERT_TRUE(ctx.corrupt_remote_block(rc.victim));
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kRemote, kInvalidId, rc.victim));
 
   const auto r = ctx.count(rc.a);
   EXPECT_TRUE(r.completed);  // "completed" — with poisoned data
@@ -387,7 +397,7 @@ TEST(Corruption, RemoteTierSameSeedIsBitIdentical) {
     RemoteChain rc = build_remote_chain(/*verify=*/true);
     Context& ctx = *rc.ctx;
     if (rc.victim.dataset != kInvalidId) {
-      ctx.corrupt_remote_block(rc.victim);
+      ctx.corrupt_block(MemoryTier::kRemote, kInvalidId, rc.victim);
     }
     const JobResult r = ctx.count(rc.a);
     const FailureStats& st = ctx.dag().failure_stats();

@@ -80,7 +80,7 @@ TEST_F(DagEdgeTest, CheckpointBeatsCacheWalkWhenBlocksEvicted) {
   const auto r1 = dag_->run_job(b);
   // Drop b's cache: the rerun must read the checkpoint, not the source.
   for (int p = 0; p < b->num_partitions(); ++p) {
-    cluster_->remove_block_everywhere({b->id(), p});
+    cluster_->drop_everywhere({b->id(), p});
   }
   auto c = b->filter({.selectivity = 0.5});
   const auto r2 = dag_->run_job(c);

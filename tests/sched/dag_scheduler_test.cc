@@ -103,7 +103,7 @@ TEST_F(DagSchedulerTest, ViolatedLocalityRecomputesFromShuffle) {
   c->cache();
   dag_->run_job(c);
   for (int p = 0; p < 8; ++p) {
-    cluster_->remove_block_everywhere({c->id(), p});
+    cluster_->drop_everywhere({c->id(), p});
   }
   auto d = c->filter({.selectivity = 0.5});
   const auto r = dag_->run_job(d);

@@ -77,7 +77,8 @@ TEST_F(StorageLevelTest, MemoryAndDiskSpillsInsteadOfDropping) {
   for (int p = 0; p < a->num_partitions(); ++p) {
     bool available = cluster_->cached_anywhere({a->id(), p});
     for (ServerId s = 0; s < cluster_->size() && !available; ++s) {
-      available = cluster_->disk_cached_on({a->id(), p}, s);
+      available =
+          cluster_->find_copy(MemoryTier::kDisk, s, {a->id(), p}).has_value();
     }
     EXPECT_TRUE(available) << "partition " << p;
   }
@@ -122,7 +123,7 @@ TEST_F(StorageLevelTest, FreshMemoryCopySupersedesSpill) {
   for (ServerId s = 0; s < cluster_->size(); ++s) {
     for (int p = 0; p < a->num_partitions(); ++p) {
       if (cluster_->cached_on({a->id(), p}, s)) {
-        EXPECT_FALSE(cluster_->disk_cached_on({a->id(), p}, s));
+        EXPECT_FALSE(cluster_->find_copy(MemoryTier::kDisk, s, {a->id(), p}));
       }
     }
   }

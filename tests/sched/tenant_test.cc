@@ -1,6 +1,6 @@
 // Tenant model (PR 7): registry resolution, MultiTenantOptions validation,
-// weighted fair-share core allocation under saturation, lane isolation for
-// session follow-ups, and the deprecated app-string submit shim.
+// weighted fair-share core allocation under saturation and lane isolation
+// for session follow-ups.
 #include "sched/tenant.h"
 
 #include <gtest/gtest.h>
@@ -246,31 +246,6 @@ TEST(TenantSubmit, JobResultCarriesTheResolvedTenant) {
   EXPECT_EQ(seen_name, "analytics");
   EXPECT_EQ(seen_id, 1);  // declared first => id 1 (0 is the default)
 }
-
-// The one intentional caller of the deprecated positional app-string
-// overload: it must keep working, mapped onto SubmitOptions::tenant.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(TenantSubmit, DeprecatedAppStringShimMapsOntoTenant) {
-  ContextOptions o;
-  o.config = ConfigKind::kStarkH;
-  o.cluster.num_servers = 2;
-  Context ctx(o);
-  auto part = ctx.collection_partitioner(4, 256);
-  auto ds = ctx.ingest("d", small_hist(), part, "logs", {.materialize = false});
-  std::string seen_name = "unset";
-  bool completed = false;
-  ctx.dag().submit(ds, ActionType::kCount,
-                   JobCallback([&](const JobResult& r) {
-                     completed = r.completed;
-                     seen_name = r.tenant;
-                   }),
-                   "legacy-app");
-  ctx.sim().run();
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(seen_name, "legacy-app");
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace stark
