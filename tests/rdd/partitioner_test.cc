@@ -119,11 +119,20 @@ TEST(StaticRangePartitioner, SharedBoundsAreEqual) {
   EXPECT_TRUE(a->equals(plain));
 }
 
-class PartitionerContract
-    : public ::testing::TestWithParam<std::shared_ptr<const Partitioner>> {};
+// A named partitioner case. The name is what gtest prints for the parameter,
+// so discovered test names stay stable across builds instead of embedding a
+// heap address.
+struct PartitionerCase {
+  const char* name;
+  std::shared_ptr<const Partitioner> partitioner;
+};
+
+void PrintTo(const PartitionerCase& c, std::ostream* os) { *os << c.name; }
+
+class PartitionerContract : public ::testing::TestWithParam<PartitionerCase> {};
 
 TEST_P(PartitionerContract, TotalAndDeterministic) {
-  const auto& p = GetParam();
+  const auto& p = GetParam().partitioner;
   Rng rng(3);
   for (int i = 0; i < 2000; ++i) {
     const Key k = rng.next_below(1 << 20);
@@ -139,10 +148,12 @@ TEST_P(PartitionerContract, TotalAndDeterministic) {
 INSTANTIATE_TEST_SUITE_P(
     Kinds, PartitionerContract,
     ::testing::Values(
-        std::make_shared<HashPartitioner>(1),
-        std::make_shared<HashPartitioner>(7),
-        std::make_shared<RangePartitioner>(std::vector<Key>{1000, 500000}, 3),
-        StaticRangePartitioner::uniform(1 << 20, 16)));
+        PartitionerCase{"Hash1", std::make_shared<HashPartitioner>(1)},
+        PartitionerCase{"Hash7", std::make_shared<HashPartitioner>(7)},
+        PartitionerCase{"Range3", std::make_shared<RangePartitioner>(
+                                      std::vector<Key>{1000, 500000}, 3)},
+        PartitionerCase{"StaticRange16",
+                        StaticRangePartitioner::uniform(1 << 20, 16)}));
 
 }  // namespace
 }  // namespace stark
