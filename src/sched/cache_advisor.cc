@@ -76,6 +76,7 @@ void CacheAdvisor::fold_decay(Entry& e, SimTime now) const {
 
 void CacheAdvisor::on_stage_reference(const DatasetPtr& ds, JobId job,
                                       SimTime now) {
+  if (entries_.size() >= prune_at_) prune();
   Entry& e = entries_[ds->id()];
   if (e.num_partitions == 0) {
     e.num_partitions = ds->num_partitions();
@@ -91,6 +92,11 @@ void CacheAdvisor::on_stage_reference(const DatasetPtr& ds, JobId job,
     e.last_job = job;
     e.refs_job = job;
     e.refs_in_job = 0;
+    if (job != candidates_job_) {
+      candidates_.clear();
+      candidates_job_ = job;
+    }
+    candidates_.push_back(ds->id());
   }
   ++e.live_stages;
   ++e.refs_in_job;
@@ -125,25 +131,26 @@ void CacheAdvisor::on_block_read(const Dataset& ds, SimTime now) {
 }
 
 void CacheAdvisor::sweep(SimTime now) {
-  if (pending_free_.empty()) return;
-  // Sorted snapshot: try_free mutates pending_free_, and dataset-id order
-  // keeps the free sequence deterministic and independent of hash layout.
-  std::vector<DatasetId> ids(pending_free_.begin(), pending_free_.end());
-  std::sort(ids.begin(), ids.end());
-  for (const DatasetId id : ids) {
-    const auto it = entries_.find(id);
-    if (it == entries_.end()) {
-      pending_free_.erase(id);
-      continue;
-    }
-    Entry& e = it->second;
-    if (e.live_stages > 0) {
-      pending_free_.erase(id);
-      continue;
-    }
-    if (now - e.dead_since < options_.free_grace_seconds) continue;
-    try_free(id, e, now);
+  // Dataset-id order keeps the free sequence deterministic. Every queued id
+  // has an entry with no live stage: a reference dequeues it, and prune()
+  // keeps queued entries.
+  for (auto it = pending_free_.begin(); it != pending_free_.end();) {
+    const DatasetId id = *it++;  // try_free erases only `id`
+    Entry& e = entries_.at(id);
+    if (now - e.dead_since >= options_.free_grace_seconds) try_free(id, e, now);
   }
+}
+
+void CacheAdvisor::prune() {
+  // An expired handle means no stage chain holds the dataset and no job can
+  // reference it again, so no hook reaches the entry once its queued free
+  // (if any) is done.
+  std::erase_if(entries_, [this](const auto& kv) {
+    const Entry& e = kv.second;
+    return e.ds.expired() && e.live_stages == 0 &&
+           !pending_free_.contains(kv.first);
+  });
+  prune_at_ = std::max(kMinPruneAt, 2 * entries_.size());
 }
 
 bool CacheAdvisor::try_free(DatasetId id, Entry& e, SimTime now) {
@@ -175,7 +182,8 @@ bool CacheAdvisor::try_free(DatasetId id, Entry& e, SimTime now) {
     // Drops RAM replicas, spilled copies and the remote-pool copy alike.
     dropped = cluster_->drop_everywhere({id, p}, dropped);
   }
-  if (const DatasetPtr ds = e.ds.lock()) ds->uncache();
+  const DatasetPtr ds = e.ds.lock();
+  if (ds != nullptr) ds->uncache();
   if (e.auto_cached) {
     promoted_live_ -= e.promoted_bytes;
     --auto_cached_count_;
@@ -185,7 +193,7 @@ bool CacheAdvisor::try_free(DatasetId id, Entry& e, SimTime now) {
   ++stats_.auto_frees;
   stats_.bytes_freed += dropped;
   pending_free_.erase(id);
-  if (event_fn_) event_fn_(id, dropped, /*promoted=*/false);
+  if (event_fn_) event_fn_(id, ds, dropped, /*promoted=*/false);
   return true;
 }
 
@@ -196,9 +204,12 @@ std::vector<DatasetPtr> CacheAdvisor::select_promotions(JobId job,
     DatasetId id = kInvalidId;
     DatasetPtr ds;
   };
+  // Only datasets whose refs_job flipped to `job` can rank; the final sort
+  // makes the ranking independent of visiting order.
+  if (job != candidates_job_) return {};
   std::vector<Candidate> ranked;
-  for (auto& [id, e] : entries_) {
-    if (e.refs_job != job) continue;
+  for (const DatasetId id : candidates_) {
+    Entry& e = entries_.at(id);  // held by the job's stages: never pruned
     DatasetPtr ds = e.ds.lock();
     // Sources re-read from their natural home (disk); caching them buys
     // less than caching the transforms derived from them.
@@ -238,7 +249,7 @@ std::vector<DatasetPtr> CacheAdvisor::select_promotions(JobId job,
     ++auto_cached_count_;
     ++stats_.auto_caches;
     stats_.bytes_promoted += footprint;
-    if (event_fn_) event_fn_(c.id, footprint, /*promoted=*/true);
+    if (event_fn_) event_fn_(c.id, c.ds, footprint, /*promoted=*/true);
     promoted.push_back(std::move(c.ds));
   }
   return promoted;

@@ -37,11 +37,17 @@
 // simulation still drains (the MemoryPressureMonitor pattern). It is
 // constructed only when AutoCacheOptions::enabled(); the default kManual
 // build has no advisor and stays byte-identical.
+//
+// Every hook costs O(the job's own chain datasets + live advisor state),
+// never O(datasets ever referenced): promotion visits only the datasets the
+// submitting job just referenced, the sweep walks the pending-free queue in
+// id order, and entries of datasets whose handles are gone (and that hold
+// nothing left to free) are forgotten in amortized batches.
 #pragma once
 
 #include <functional>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -105,9 +111,11 @@ class CacheAdvisor {
   // lineage-based recompute_delay), used by the promotion ranking.
   using RecomputeCostFn = std::function<double(const Dataset&)>;
   // Fired on every promotion (promoted=true) and free (promoted=false)
-  // with the dataset and the bytes involved; the DagScheduler uses it for
-  // kAutoCache/kAutoFree trace instants and the re-insertion veto.
-  using EventFn = std::function<void(DatasetId id, Bytes bytes, bool promoted)>;
+  // with the dataset and the bytes involved; `ds` is null when the
+  // application already dropped its last handle. The DagScheduler uses it
+  // for kAutoCache/kAutoFree trace instants and the re-insertion veto.
+  using EventFn = std::function<void(DatasetId id, const DatasetPtr& ds,
+                                     Bytes bytes, bool promoted)>;
 
   CacheAdvisor(Cluster& cluster, AutoCacheOptions options,
                RecomputeCostFn recompute_cost);
@@ -129,16 +137,21 @@ class CacheAdvisor {
   // and job completion; never scheduled as a standing event.
   void sweep(SimTime now);
   // kFull only: rank this job's uncached intermediates and promote the top
-  // candidates under the RAM budget. Returns the promoted datasets so the
-  // caller can retro-charge lineage refcounts for already-built stages.
+  // candidates under the RAM budget. Call it right after the job's stages
+  // are built: the candidates are the datasets those stages referenced.
+  // Returns the promoted datasets so the caller can retro-charge lineage
+  // refcounts for already-built stages.
   std::vector<DatasetPtr> select_promotions(JobId job, SimTime now);
 
   const AutoCacheStats& stats() const noexcept { return stats_; }
 
   // Introspection for tests and benches.
   int live_stages(DatasetId id) const;
-  // Decayed cross-job reuse score as of `now` (0 for unknown datasets).
+  // Decayed cross-job reuse score as of `now` (0 for unknown datasets,
+  // including forgotten ones whose handles are gone).
   double reuse_score(DatasetId id, SimTime now) const;
+  // Datasets the advisor currently keeps an entry for.
+  std::size_t tracked_datasets() const noexcept { return entries_.size(); }
   Bytes promotion_budget() const noexcept { return budget_; }
   Bytes promoted_bytes_live() const noexcept { return promoted_live_; }
 
@@ -169,14 +182,26 @@ class CacheAdvisor {
   // protected (reuse score) or deferred (pinned replica). Returns true
   // when the dataset was actually freed.
   bool try_free(DatasetId id, Entry& e, SimTime now);
+  // Erase entries no hook can reach again: handle expired, no live stage,
+  // nothing queued to free. Dataset ids are never reused.
+  void prune();
 
   Cluster* cluster_;
   AutoCacheOptions options_;
   RecomputeCostFn recompute_cost_;
   EventFn event_fn_;
   std::unordered_map<DatasetId, Entry> entries_;
-  // Dead cache-requested datasets awaiting their grace period.
-  std::unordered_set<DatasetId> pending_free_;
+  // prune() runs once entries_ reaches this size (doubling amortization).
+  static constexpr std::size_t kMinPruneAt = 1024;
+  std::size_t prune_at_ = kMinPruneAt;
+  // Datasets whose refs_job flipped to candidates_job_: the promotion
+  // candidates of that job (each id once, since a flip back needs another
+  // job's flip in between, which resets the list).
+  std::vector<DatasetId> candidates_;
+  JobId candidates_job_ = kInvalidId;
+  // Dead cache-requested datasets awaiting their grace period; ordered so
+  // the sweep frees in dataset-id order.
+  std::set<DatasetId> pending_free_;
   AutoCacheStats stats_;
   Bytes budget_ = 0.0;         // ram_budget_fraction * aggregate capacity
   Bytes promoted_live_ = 0.0;  // footprint of currently auto-cached datasets

@@ -57,8 +57,11 @@ DagScheduler::DagScheduler(sim::Simulation& sim, Cluster& cluster,
     advisor_ = std::make_unique<CacheAdvisor>(
         cluster, options_.auto_cache,
         [this](const Dataset& ds) { return recompute_delay(ds); });
-    advisor_->set_event_fn([this](DatasetId id, Bytes bytes, bool promoted) {
-      if (!promoted) retired_.insert(id);
+    advisor_->set_event_fn([this](DatasetId id, const DatasetPtr& ds,
+                                  Bytes bytes, bool promoted) {
+      // A freed dataset with no handle left needs no veto: nothing can
+      // recompute it.
+      if (!promoted && ds != nullptr) veto_reinsertion(ds);
       if (!obs::Tracer::active(tracer_)) return;
       obs::TraceEvent e;
       e.kind = promoted ? obs::TraceKind::kAutoCache
@@ -1679,9 +1682,18 @@ Bytes DagScheduler::retire_dataset(const DatasetPtr& ds) {
   for (int p = 0; p < ds->num_partitions(); ++p) {
     dropped = cluster_->drop_everywhere({ds->id(), p}, dropped);
   }
-  retired_.insert(ds->id());
+  veto_reinsertion(ds);
   install_insert_filter();
   return dropped;
+}
+
+void DagScheduler::veto_reinsertion(const DatasetPtr& ds) {
+  if (retired_.size() >= retired_prune_at_) {
+    std::erase_if(retired_,
+                  [](const auto& kv) { return kv.second.expired(); });
+    retired_prune_at_ = std::max(kMinRetiredPruneAt, 2 * retired_.size());
+  }
+  retired_.insert_or_assign(ds->id(), ds);
 }
 
 double DagScheduler::recovery_chain_delay(const DatasetPtr& ds,

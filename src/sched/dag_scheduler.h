@@ -229,7 +229,8 @@ class DagScheduler {
   // (RAM, remote pool, local spill), and veto re-insertion by lineage
   // recomputes still in flight — without the veto a recomputed partition
   // lands back in the dead dataset's cache and leaks until evicted. The
-  // veto lifts automatically if a later job references the dataset again.
+  // veto lifts automatically if a later job references the dataset again,
+  // and is forgotten once the dataset's last handle is gone.
   // Returns the stored bytes dropped. The advisor's auto-free path shares
   // this veto; pass a manually-freed dataset here instead of calling
   // Dataset::uncache() directly when tasks may be running.
@@ -237,6 +238,8 @@ class DagScheduler {
   bool dataset_retired(DatasetId id) const {
     return retired_.contains(id);
   }
+  // Datasets the re-insertion veto currently holds.
+  std::size_t retired_datasets() const noexcept { return retired_.size(); }
 
   // --- silent-data-corruption faults ---------------------------------------
   // Flip the checksum tag on one stored copy: a block copy in one tier (see
@@ -391,6 +394,9 @@ class DagScheduler {
   // first retirement the filter stays null and the completion path is
   // untouched (byte-identity).
   void install_insert_filter();
+  // Add `ds` to the re-insertion veto, first dropping (in amortized
+  // batches) vetoes whose datasets no handle reaches any more.
+  void veto_reinsertion(const DatasetPtr& ds);
   double recovery_chain_delay(const DatasetPtr& ds, int partition) const;
   // Corrupt-flag vector for a shuffle, resized to n units on demand.
   std::vector<char>& corrupt_flags(const ShuffleKey& key, std::size_t n);
@@ -462,8 +468,13 @@ class DagScheduler {
   // Datasets freed while tasks may still be recomputing their partitions:
   // the TaskScheduler's insert filter vetoes re-insertion (the
   // uncache-during-recompute race). Entries leave when a new job's
-  // build_stage references the dataset again.
-  std::unordered_set<DatasetId> retired_;
+  // build_stage references the dataset again, or once the dataset's last
+  // handle is gone: stage chains own their datasets, so an expired handle
+  // means no stage references it and no task can materialize it.
+  std::unordered_map<DatasetId, std::weak_ptr<Dataset>> retired_;
+  // veto_reinsertion prunes once retired_ reaches this size.
+  static constexpr std::size_t kMinRetiredPruneAt = 64;
+  std::size_t retired_prune_at_ = kMinRetiredPruneAt;
   bool insert_filter_installed_ = false;
   std::vector<HedgeBudget> hedge_budget_;
   std::vector<ServerId> hedge_hosts_scratch_;  // distinct source hosts

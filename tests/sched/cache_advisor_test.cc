@@ -61,6 +61,41 @@ class CacheAdvisorTest : public ::testing::Test {
     return false;
   }
 
+  // Any copy of the dataset's partitions in any tier (RAM, remote pool,
+  // local disk); works after the dataset's last handle is gone.
+  bool stored_anywhere(DatasetId id, int num_partitions) {
+    for (int p = 0; p < num_partitions; ++p) {
+      for (const MemoryTier tier :
+           {MemoryTier::kRam, MemoryTier::kRemote, MemoryTier::kDisk}) {
+        for (ServerId s = 0; s < cluster_->size(); ++s) {
+          if (cluster_->find_copy(tier, s, {id, p})) return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  // A 2-partition source -> filter chain with no shuffle. The scheduler
+  // remembers every shuffle edge (and so its datasets) for the whole run;
+  // a narrow chain is gone once the caller drops it.
+  DatasetPtr make_narrow() {
+    if (narrow_hist_ == nullptr) {
+      trace::WikiTraceGen::Config c;
+      c.num_urls = 128;
+      narrow_hist_ = std::make_shared<const KeyHistogram>(
+          trace::WikiTraceGen(c).histogram(16 * kMiB, 0.9));
+    }
+    return Dataset::source("n", narrow_hist_, 2)->filter({.selectivity = 0.5});
+  }
+
+  // Runs `n` one-shot jobs, each over a fresh narrow chain whose handles
+  // are dropped when its job finishes (two datasets per job).
+  void run_one_shot_jobs(int n) {
+    for (int i = 0; i < n; ++i) dag_->run_job(make_narrow());
+  }
+
+  KeyHistogramPtr narrow_hist_;
+
   // Advances simulated time by `dt` (the advisor sweeps only on job
   // submit/finish, so tests drive the clock explicitly).
   void advance(double dt) {
@@ -195,6 +230,79 @@ TEST_F(CacheAdvisorTest, FullModePromotesReusedIntermediate) {
   EXPECT_GT(r.bytes_from_cache, 0.0);
 }
 
+TEST_F(CacheAdvisorTest, PromotionAfterManyOneShotJobs) {
+  // Hundreds of one-shot jobs leave nothing the promotion ranking or the
+  // advisor's bookkeeping should carry: the reuse pattern afterwards still
+  // promotes exactly once, and the advisor tracks the live datasets only,
+  // not every dataset those jobs ever referenced.
+  reset(advisor_opts(AutoCacheMode::kFull));
+  constexpr int kJobs = 600;  // two datasets each
+  run_one_shot_jobs(kJobs);
+  const CacheAdvisor& advisor = *dag_->cache_advisor();
+  EXPECT_EQ(dag_->auto_cache_stats().auto_caches, 0);
+  EXPECT_LT(advisor.tracked_datasets(), static_cast<std::size_t>(kJobs));
+
+  auto inter = make_dataset();
+  dag_->run_job(inter->filter({.selectivity = 0.5}));
+  EXPECT_FALSE(inter->cache_requested());
+  dag_->run_job(inter->filter({.selectivity = 0.5}));
+  EXPECT_TRUE(inter->cache_requested());
+  EXPECT_EQ(dag_->auto_cache_stats().auto_caches, 1);
+  const JobResult r = dag_->run_job(inter->filter({.selectivity = 0.5}));
+  EXPECT_GT(r.bytes_from_cache, 0.0);
+  EXPECT_EQ(dag_->auto_cache_stats().auto_caches, 1);
+}
+
+TEST_F(CacheAdvisorTest, TrackedDatasetsBoundedByLiveDatasets) {
+  reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
+  // Datasets the application keeps stay tracked through any number of
+  // jobs; the one-shot datasets are forgotten, so the tracked count
+  // saw-tooths below a fixed ceiling instead of growing with jobs run.
+  std::vector<DatasetPtr> kept;
+  for (int i = 0; i < 8; ++i) {
+    kept.push_back(make_narrow());
+    dag_->run_job(kept.back());
+  }
+  std::size_t peak = 0;
+  for (int round = 0; round < 4; ++round) {
+    run_one_shot_jobs(500);
+    peak = std::max(peak, dag_->cache_advisor()->tracked_datasets());
+  }
+  // 2000 jobs reference 4000 one-shot datasets; the prune floor is 1024.
+  EXPECT_LE(peak, 1024u);
+  for (const DatasetPtr& ds : kept) {
+    // Still known: a re-reference by another job is cross-job reuse.
+    dag_->run_job(ds->filter({.selectivity = 0.5}));
+    EXPECT_GT(dag_->cache_advisor()->reuse_score(ds->id(), sim_->now()),
+              0.9);
+  }
+}
+
+TEST_F(CacheAdvisorTest, DroppedHandleStillFreedAfterGrace) {
+  // A cache-requested dataset that dies and loses its last handle stays
+  // queued for its free even while the advisor forgets other dead entries:
+  // after the grace period its blocks leave every tier.
+  DagOptions opts = advisor_opts(AutoCacheMode::kAutoFreeOnly);
+  opts.auto_cache.free_grace_seconds = 1e6;
+  reset(opts);
+  auto ds = make_narrow();
+  ds->cache(Dataset::StorageLevel::kMemorySerialized);
+  dag_->run_job(ds);
+  dag_->run_job(ds->filter({.selectivity = 0.5}));
+  const DatasetId id = ds->id();
+  const int parts = ds->num_partitions();
+  ds.reset();
+  ASSERT_TRUE(stored_anywhere(id, parts));
+  run_one_shot_jobs(600);
+  ASSERT_LT(dag_->cache_advisor()->tracked_datasets(), 1200u);  // pruned
+  EXPECT_TRUE(stored_anywhere(id, parts));
+  EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 0);
+  advance(2e6);
+  dag_->run_job(make_dataset());
+  EXPECT_FALSE(stored_anywhere(id, parts));
+  EXPECT_EQ(dag_->auto_cache_stats().auto_frees, 1);
+}
+
 TEST_F(CacheAdvisorTest, AutoFreeOnlyModeNeverPromotes) {
   reset(advisor_opts(AutoCacheMode::kAutoFreeOnly));
   auto inter = make_dataset();
@@ -252,6 +360,28 @@ TEST_F(CacheAdvisorTest, ReReferenceLiftsRetirementVeto) {
   dag_->run_job(inter->filter({.selectivity = 0.5}));
   EXPECT_FALSE(dag_->dataset_retired(inter->id()));
   EXPECT_TRUE(cached_anywhere(inter));
+}
+
+TEST_F(CacheAdvisorTest, RetirementVetoForgetsDroppedHandles) {
+  // The veto must still hold while a job that can recompute the dataset is
+  // in flight, but once the application drops its handle nothing can
+  // re-insert the blocks, so the veto set does not grow with retirements.
+  auto inter = make_narrow();
+  inter->cache(Dataset::StorageLevel::kMemorySerialized);
+  const DatasetId id = inter->id();
+  const int parts = inter->num_partitions();
+  const JobId job = dag_->submit(inter->filter({.selectivity = 0.5}),
+                                 ActionType::kCount);
+  dag_->retire_dataset(inter);
+  inter.reset();  // the in-flight job's stages still own the dataset
+  for (int i = 0; i < 200; ++i) dag_->retire_dataset(make_narrow());
+  EXPECT_TRUE(dag_->dataset_retired(id));
+  sim_->run();
+  EXPECT_TRUE(dag_->job_done(job));
+  EXPECT_FALSE(stored_anywhere(id, parts));  // the veto held
+  for (int i = 0; i < 200; ++i) dag_->retire_dataset(make_narrow());
+  EXPECT_LE(dag_->retired_datasets(), 64u);
+  EXPECT_FALSE(dag_->dataset_retired(id));
 }
 
 TEST_F(CacheAdvisorTest, RetireDatasetReportsDroppedBytes) {
