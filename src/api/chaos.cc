@@ -318,7 +318,7 @@ void ChaosInjector::inject_corruption() {
     if (!srv.alive()) continue;
     if (config_.corrupt_cache) {
       for (const BlockId& id : srv.storage().blocks_mru_order()) {
-        if (!srv.storage().is_corrupt(id)) {
+        if (!cluster.find_copy(MemoryTier::kRam, s, id)->corrupt) {
           targets.push_back({false, MemoryTier::kRam, s, id, {}});
         }
       }

@@ -361,7 +361,8 @@ Context::Context(ContextOptions options)
           e.dataset = id.dataset;
           e.partition = id.partition;
           if (inserted) {
-            e.bytes = cluster_.server(s).storage().block_bytes(id);
+            const auto copy = cluster_.find_copy(MemoryTier::kRam, s, id);
+            if (copy) e.bytes = copy->bytes;
           }
           tracer_->emit(e);
         }

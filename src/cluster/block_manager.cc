@@ -40,9 +40,11 @@ bool BlockManager::contains(const BlockId& id) const noexcept {
   return blocks_.find(id) != blocks_.end();
 }
 
-Bytes BlockManager::block_bytes(const BlockId& id) const {
+std::optional<BlockManager::StoredBlock> BlockManager::find(
+    const BlockId& id) const noexcept {
   const auto it = blocks_.find(id);
-  return it == blocks_.end() ? 0.0 : it->second.bytes;
+  if (it == blocks_.end()) return std::nullopt;
+  return StoredBlock{it->second.bytes, it->second.corrupted};
 }
 
 bool BlockManager::mark_corrupt(const BlockId& id) {
@@ -50,11 +52,6 @@ bool BlockManager::mark_corrupt(const BlockId& id) {
   if (it == blocks_.end()) return false;
   it->second.corrupted = true;
   return true;
-}
-
-bool BlockManager::is_corrupt(const BlockId& id) const noexcept {
-  const auto it = blocks_.find(id);
-  return it != blocks_.end() && it->second.corrupted;
 }
 
 void BlockManager::touch(const BlockId& id) { policy_->on_touch(id); }

@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,14 +46,19 @@ class BlockManager {
   EvictionPolicyKind policy() const noexcept { return policy_->kind(); }
 
   bool contains(const BlockId& id) const noexcept;
-  Bytes block_bytes(const BlockId& id) const;  // 0 if absent
+  // A stored block's size and integrity tag, or nullopt when absent.
+  struct StoredBlock {
+    Bytes bytes = 0.0;
+    bool corrupted = false;
+  };
+  std::optional<StoredBlock> find(const BlockId& id) const noexcept;
 
-  // Integrity tag. A fresh insert always stores a valid checksum;
-  // mark_corrupt simulates a bit flip in the stored copy (returns false if
-  // the block is absent). The flag travels with the block on spill-eviction
-  // (EvictedBlock::corrupted) — corrupt bytes written to disk stay corrupt.
+  // Integrity tag (StoredBlock::corrupted). A fresh insert always stores a
+  // valid checksum; mark_corrupt simulates a bit flip in the stored copy
+  // (returns false if the block is absent). The flag travels with the
+  // block on spill-eviction (EvictedBlock::corrupted) — corrupt bytes
+  // written to disk stay corrupt.
   bool mark_corrupt(const BlockId& id);
-  bool is_corrupt(const BlockId& id) const noexcept;
 
   // Marks the block most-recently-used.
   void touch(const BlockId& id);

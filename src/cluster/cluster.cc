@@ -5,7 +5,8 @@
 
 namespace stark {
 
-Cluster::Cluster(const ClusterConfig& config) : config_(config) {
+Cluster::Cluster(const ClusterConfig& config)
+    : config_(config), alive_count_(config.num_servers) {
   if (config.num_servers <= 0) {
     throw std::invalid_argument("Cluster: num_servers must be > 0");
   }
@@ -174,9 +175,9 @@ std::optional<Cluster::BlockCopy> Cluster::find_copy(MemoryTier tier,
                                                      const BlockId& id) const {
   switch (tier) {
     case MemoryTier::kRam: {
-      if (!cached_on(id, s)) return std::nullopt;
-      const BlockManager& store = server(s).storage();
-      return BlockCopy{store.block_bytes(id), store.is_corrupt(id), s};
+      const auto block = server(s).storage().find(id);
+      if (!block) return std::nullopt;
+      return BlockCopy{block->bytes, block->corrupted, s};
     }
     case MemoryTier::kRemote: {
       const RemoteMemoryPool::Entry* e = remote_ ? remote_->find(id) : nullptr;
@@ -284,6 +285,7 @@ bool Cluster::kill_server(ServerId s) {
     notify(s, id, /*inserted=*/false);
   }
   srv.kill();
+  --alive_count_;
   ++topology_epoch_;
   return true;
 }
@@ -292,6 +294,7 @@ bool Cluster::restart_server(ServerId s) {
   Server& srv = server(s);
   if (srv.alive()) return false;  // restarting a live server is a no-op
   srv.restart();
+  ++alive_count_;
   ++topology_epoch_;
   return true;
 }

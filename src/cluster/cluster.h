@@ -110,8 +110,10 @@ class Cluster {
     ServerId host = kInvalidId;
   };
   // The copy of `id` in `tier` on server `s` (the remote tier ignores `s`),
-  // or nullopt. A RAM copy is one the index lists for `s`. Safe when the
-  // remote tier is disabled (it then holds nothing).
+  // or nullopt. A RAM copy is one the index lists for `s`; every RAM store
+  // mutation goes through this class, so the store holds exactly those and
+  // one store lookup answers the probe. Safe when the remote tier is
+  // disabled (it then holds nothing).
   std::optional<BlockCopy> find_copy(MemoryTier tier, ServerId s,
                                      const BlockId& id) const;
   // Drops that copy; false when absent. Dropping a RAM replica notifies
@@ -149,6 +151,8 @@ class Cluster {
 
   int total_free_cores() const noexcept;
   std::vector<ServerId> alive_servers() const;
+  // alive_servers().size(), kept by kill_server / restart_server.
+  int alive_count() const noexcept { return alive_count_; }
   // Servers the driver can actually use: alive and not partitioned away.
   std::vector<ServerId> reachable_servers() const;
 
@@ -207,6 +211,7 @@ class Cluster {
   std::unordered_map<DatasetId, int> lineage_refcounts_;
   std::vector<ServerId> empty_;
   std::uint64_t topology_epoch_ = 0;
+  int alive_count_ = 0;
 };
 
 }  // namespace stark

@@ -1414,7 +1414,7 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
   // I/O times under contention: per-flow bandwidth shrinks once concurrent
   // flows outnumber NICs/spindles (average flows-per-server model).
   const double servers =
-      std::max(1.0, static_cast<double>(cluster_->alive_servers().size()));
+      std::max(1.0, static_cast<double>(cluster_->alive_count()));
   const double net_factor = std::max(
       1.0, (task_scheduler_.active_net_flows() + 1.0) / servers);
   const double disk_factor = std::max(

@@ -18,8 +18,53 @@ TaskScheduler::TaskScheduler(sim::Simulation& sim, Cluster& cluster,
       cost_(cost),
       options_(options),
       ns_of_dataset_(std::move(ns_of_dataset)),
+      by_server_(static_cast<std::size_t>(cluster.size())),
       placement_rng_(options.seed),
       flaky_rng_(splitmix64(options.seed ^ 0x464c414bULL)) {}
+
+void TaskScheduler::TaskRuns::push_back(std::uint64_t id) {
+  if (n_ == ids_.size()) {
+    throw std::logic_error("TaskScheduler: more than two copies of one task");
+  }
+  ids_[n_++] = id;
+}
+
+void TaskScheduler::TaskRuns::erase(std::uint64_t id) noexcept {
+  const auto last = ids_.begin() + n_;
+  const auto it = std::find(ids_.begin(), last, id);
+  if (it == last) return;
+  std::copy(it + 1, last, it);
+  --n_;
+}
+
+std::uint64_t TaskScheduler::new_run_id() {
+  std::size_t slot;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    slot = runs_.size();
+    if (slot >> kSlotBits != 0) {
+      throw std::length_error("TaskScheduler: run-slot pool exhausted");
+    }
+    runs_.emplace_back();
+  }
+  return (launch_seq_++ << kSlotBits) | slot;
+}
+
+TaskScheduler::RunningTask TaskScheduler::take_run(RunningTask& slot) {
+  RunningTask run = std::move(slot);
+  slot.id = kNoRun;
+  free_slots_.push_back(static_cast<std::uint32_t>(slot_of(run.id)));
+  --live_runs_;
+  auto& on_server = by_server_[static_cast<std::size_t>(run.server)];
+  const auto it = std::find(on_server.begin(), on_server.end(), run.id);
+  if (it != on_server.end()) {
+    *it = on_server.back();
+    on_server.pop_back();
+  }
+  return run;
+}
 
 void TaskScheduler::submit(TaskSetPtr ts) {
   if (ts == nullptr || ts->tasks.empty()) {
@@ -350,8 +395,12 @@ bool TaskScheduler::offer_to_set(const std::shared_ptr<ActiveSet>& set,
 
 void TaskScheduler::schedule() {
   if (in_schedule_) return;  // guard against re-entrant launches
-  in_schedule_ = true;
   expire_exclusions();
+  // Most calls (every completion under saturation) find no set with
+  // pending work; the sweep would only refresh per-server caches that the
+  // next sweep with a ready set rebuilds from the same state anyway.
+  if (ready_count_ == 0) return;
+  in_schedule_ = true;
   bool sweep_again = true;
   while (sweep_again) {
     sweep_again = false;
@@ -541,7 +590,8 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
     tracer_->emit(e);
   }
 
-  const std::uint64_t run_id = next_run_id_++;
+  const std::uint64_t run_id = new_run_id();
+  run.id = run_id;
   if (run.fetch_failure.has_value()) {
     run.event = sim_->at(
         finish, [this, run_id] { fail(run_id, TaskFailureKind::kFetchFailed); });
@@ -551,13 +601,13 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
   } else {
     run.event = sim_->at(finish, [this, run_id] { complete(run_id); });
   }
-  by_server_[server].insert(run_id);
+  by_server_[static_cast<std::size_t>(server)].push_back(run_id);
   set->runs_by_index[static_cast<std::size_t>(index)].push_back(run_id);
-  running_.emplace(run_id, std::move(run));
+  runs_[slot_of(run_id)] = std::move(run);
+  ++live_runs_;
 }
 
-void TaskScheduler::release_run_resources(const RunningTask& run,
-                                          std::uint64_t run_id) {
+void TaskScheduler::release_run_resources(const RunningTask& run) {
   Server& srv = cluster_->server(run.server);
   // Only the incarnation the task was launched on holds the core; a dead
   // or restarted server already reset its slots.
@@ -581,18 +631,15 @@ void TaskScheduler::release_run_resources(const RunningTask& run,
         run.set->ts->tenant < 0 ? 0 : run.set->ts->tenant);
     if (t < tenant_running_cores_.size()) --tenant_running_cores_[t];
   }
-  auto& runs = run.set->runs_by_index[static_cast<std::size_t>(run.index)];
-  std::erase(runs, run_id);
+  run.set->runs_by_index[static_cast<std::size_t>(run.index)].erase(run.id);
 }
 
 void TaskScheduler::discard_run(std::uint64_t run_id) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  RunningTask* live = find_run(run_id);
+  if (live == nullptr) return;
+  const RunningTask run = take_run(*live);
   sim_->cancel(run.event);
-  release_run_resources(run, run_id);
+  release_run_resources(run);
 }
 
 void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
@@ -621,13 +668,13 @@ void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
     candidates.emplace_back(static_cast<int>(index), runs.front());
   }
   for (const auto& [index, run_id] : candidates) {
-    const auto rit = running_.find(run_id);
-    if (rit == running_.end()) continue;
-    const auto& m = rit->second.metrics;
+    const RunningTask* run = find_run(run_id);
+    if (run == nullptr) continue;
+    const auto& m = run->metrics;
     if (m.finish_time - m.launch_time <= threshold) continue;
     if (m.finish_time - sim_->now() <= 0.0) continue;  // about to finish
     const ServerId s =
-        pick_remote_server(*set, index, /*exclude=*/rit->second.server);
+        pick_remote_server(*set, index, /*exclude=*/run->server);
     if (s == kInvalidId) continue;
     set->task_speculated[static_cast<std::size_t>(index)] = 1;
     launch(set, index, s, /*node_local=*/false, /*speculative=*/true);
@@ -645,10 +692,10 @@ void TaskScheduler::finish_set_if_done(const std::shared_ptr<ActiveSet>& set) {
 }
 
 void TaskScheduler::complete(std::uint64_t run_id) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
+  RunningTask* live = find_run(run_id);
+  if (live == nullptr) return;
   {
-    const RunningTask& r = it->second;
+    const RunningTask& r = *live;
     const Server& srv = cluster_->server(r.server);
     if (!srv.alive() || srv.generation() != r.server_generation) {
       // Zombie: the incarnation that ran this task is gone but the driver
@@ -662,13 +709,11 @@ void TaskScheduler::complete(std::uint64_t run_id) {
       return;
     }
   }
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  RunningTask run = take_run(*live);
 
   Server& srv = cluster_->server(run.server);
   srv.add_busy_seconds(run.metrics.duration());
-  release_run_resources(run, run_id);
+  release_run_resources(run);
 
   auto& set = run.set;
   if (set->task_done_flags[static_cast<std::size_t>(run.index)]) {
@@ -853,10 +898,10 @@ void TaskScheduler::abort_set(const std::shared_ptr<ActiveSet>& set,
 }
 
 void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
-  const auto it = running_.find(run_id);
-  if (it == running_.end()) return;
+  RunningTask* live = find_run(run_id);
+  if (live == nullptr) return;
   {
-    const RunningTask& r = it->second;
+    const RunningTask& r = *live;
     const Server& srv = cluster_->server(r.server);
     if (kind != TaskFailureKind::kExecutorLost &&
         (!srv.alive() || srv.generation() != r.server_generation)) {
@@ -865,11 +910,9 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
       return;
     }
   }
-  RunningTask run = std::move(it->second);
-  running_.erase(it);
-  by_server_[run.server].erase(run_id);
+  RunningTask run = take_run(*live);
   sim_->cancel(run.event);
-  release_run_resources(run, run_id);
+  release_run_resources(run);
 
   auto& set = run.set;
   if (set->aborted ||
@@ -991,18 +1034,17 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
 }
 
 void TaskScheduler::handle_server_failure(ServerId s) {
-  const auto it = by_server_.find(s);
-  if (it != by_server_.end()) {
-    // Fail every run the driver believed was on s — including results that
-    // finished behind a partition but were never delivered.
-    const auto run_ids = it->second;
-    std::vector<std::uint64_t> ordered(run_ids.begin(), run_ids.end());
-    std::sort(ordered.begin(), ordered.end());
-    for (std::uint64_t run_id : ordered) {
-      fail(run_id, TaskFailureKind::kExecutorLost);
-    }
-    by_server_.erase(s);
+  auto& on_server = by_server_[static_cast<std::size_t>(s)];
+  // Fail every run the driver believed was on s — including results that
+  // finished behind a partition but were never delivered — in launch
+  // order. fail() edits the list, so walk a sorted copy.
+  std::vector<std::uint64_t> ordered = on_server;
+  std::sort(ordered.begin(), ordered.end());
+  for (std::uint64_t run_id : ordered) {
+    fail(run_id, TaskFailureKind::kExecutorLost);
   }
+  // Runs the callbacks above launched on s are forgotten with the rest.
+  on_server.clear();
   deferred_.erase(s);
   contention_.erase(s);
   schedule();
@@ -1017,10 +1059,10 @@ void TaskScheduler::on_server_healed(ServerId s) {
   std::vector<std::uint64_t> run_ids = std::move(it->second);
   deferred_.erase(it);
   for (std::uint64_t run_id : run_ids) {
-    const auto rit = running_.find(run_id);
-    if (rit == running_.end()) continue;
+    RunningTask* run = find_run(run_id);
+    if (run == nullptr) continue;
     // The result reaches the driver only now.
-    rit->second.metrics.finish_time = sim_->now();
+    run->metrics.finish_time = sim_->now();
     complete(run_id);
   }
   schedule();

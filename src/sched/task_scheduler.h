@@ -33,6 +33,7 @@
 // driver-bound, as in the paper's Fig 7 / Fig 19.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -309,7 +310,7 @@ class TaskScheduler {
   // fair_share, so benches/tests can measure shares in either mode).
   int tenant_running_cores(TenantId tenant) const noexcept;
 
-  std::size_t running_tasks() const noexcept { return running_.size(); }
+  std::size_t running_tasks() const noexcept { return live_runs_; }
   std::size_t pending_task_sets() const noexcept { return task_sets_.size(); }
   // Logical tasks completed (winning copies only), across all sets ever run.
   std::uint64_t tasks_completed() const noexcept { return tasks_completed_; }
@@ -334,6 +335,24 @@ class TaskScheduler {
   int active_disk_flows() const noexcept { return active_disk_flows_; }
 
  private:
+  // Run ids of the copies of one task still in flight, in launch order. At
+  // most two run at once (the original and one speculative sibling), so
+  // the ids live inline and a launch allocates nothing.
+  class TaskRuns {
+   public:
+    std::size_t size() const noexcept { return n_; }
+    bool empty() const noexcept { return n_ == 0; }
+    std::uint64_t front() const noexcept { return ids_[0]; }
+    const std::uint64_t* begin() const noexcept { return ids_.data(); }
+    const std::uint64_t* end() const noexcept { return ids_.data() + n_; }
+    void push_back(std::uint64_t id);  // throws on a third copy
+    void erase(std::uint64_t id) noexcept;
+    void clear() noexcept { n_ = 0; }
+
+   private:
+    std::array<std::uint64_t, 2> ids_{};
+    std::uint8_t n_ = 0;
+  };
   struct ActiveSet {
     TaskSetPtr ts;
     std::deque<int> pending;
@@ -355,7 +374,7 @@ class TaskScheduler {
     std::vector<double> finished_durations;
     // In-flight run ids per task index (size == tasks.size()); an entry is
     // non-empty only while copies of that task are running.
-    std::vector<std::vector<std::uint64_t>> runs_by_index;
+    std::vector<TaskRuns> runs_by_index;
     // Scheduling-index bookkeeping (owned by the TaskScheduler): FIFO
     // position, O(1) erase handle into task_sets_, ready-queue membership.
     std::uint64_t seq = 0;
@@ -363,10 +382,16 @@ class TaskScheduler {
     bool in_ready = false;
     bool detached = false;
   };
+  static constexpr std::uint64_t kNoRun = ~std::uint64_t{0};
+  static constexpr int kSlotBits = 24;  // up to 16 M concurrent runs
+  // One task run, launch to completion. Runs live in the slot pool runs_;
+  // a run id is (launch sequence << kSlotBits) | slot, so ids sort in
+  // launch order and name their slot without a lookup table.
   struct RunningTask {
+    std::uint64_t id = kNoRun;  // kNoRun while the slot is free
     std::shared_ptr<ActiveSet> set;
-    int index;
-    ServerId server;
+    int index = -1;
+    ServerId server = kInvalidId;
     int server_generation = 0;
     sim::EventId event;
     TaskMetrics metrics;
@@ -390,9 +415,25 @@ class TaskScheduler {
   void emit_retry(const ActiveSet& set, int index);
   void maybe_speculate(const std::shared_ptr<ActiveSet>& set);
   void discard_run(std::uint64_t run_id);  // cancel + release resources
+  // Run-slot pool. new_run_id() reserves a slot (a freed one first) and
+  // names it with the next launch sequence number; the caller moves the
+  // run into runs_[slot_of(id)]. find_run() is null once the run ended.
+  // take_run() moves a live run out, frees its slot and drops it from its
+  // server's list.
+  static std::size_t slot_of(std::uint64_t run_id) noexcept {
+    return static_cast<std::size_t>(run_id &
+                                    ((std::uint64_t{1} << kSlotBits) - 1));
+  }
+  std::uint64_t new_run_id();
+  RunningTask* find_run(std::uint64_t run_id) noexcept {
+    const std::size_t slot = slot_of(run_id);
+    return slot < runs_.size() && runs_[slot].id == run_id ? &runs_[slot]
+                                                           : nullptr;
+  }
+  RunningTask take_run(RunningTask& run);
   // Releases the run's driver-side accounting and, when the incarnation it
   // ran on is still alive, its physical core/working set.
-  void release_run_resources(const RunningTask& run, std::uint64_t run_id);
+  void release_run_resources(const RunningTask& run);
   // Drops expired app-level exclusions (re-admission).
   void expire_exclusions();
   void arm_timer(SimTime at);
@@ -479,8 +520,14 @@ class TaskScheduler {
       by_job_stage_;
   std::unordered_map<JobId, std::vector<std::shared_ptr<ActiveSet>>> by_job_;
   std::uint64_t next_set_seq_ = 0;
-  std::unordered_map<std::uint64_t, RunningTask> running_;
-  std::unordered_map<ServerId, std::unordered_set<std::uint64_t>> by_server_;
+  // The run-slot pool (see RunningTask): ended runs' slots are reused, so
+  // launches stop allocating once it has grown to the peak concurrency.
+  std::vector<RunningTask> runs_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t live_runs_ = 0;
+  std::uint64_t launch_seq_ = 0;
+  // Live run ids per server (index = ServerId), in no particular order.
+  std::vector<std::vector<std::uint64_t>> by_server_;
   // Results that finished on an unreachable (partitioned) executor; they
   // are delivered when the partition heals, unless the loss is detected
   // first.
@@ -518,7 +565,6 @@ class TaskScheduler {
   int speculative_wins_ = 0;
   bool speculation_suspended_ = false;
   int app_exclusions_ = 0;
-  std::uint64_t next_run_id_ = 0;
   std::uint64_t tasks_completed_ = 0;
   SimTime driver_free_at_ = 0.0;
   bool timer_armed_ = false;

@@ -11,7 +11,8 @@ TEST(BlockManager, InsertAndContains) {
   EXPECT_TRUE(bm.contains({1, 0}));
   EXPECT_FALSE(bm.contains({1, 1}));
   EXPECT_DOUBLE_EQ(bm.used(), 100.0);
-  EXPECT_DOUBLE_EQ(bm.block_bytes({1, 0}), 100.0);
+  EXPECT_DOUBLE_EQ(bm.find({1, 0})->bytes, 100.0);
+  EXPECT_FALSE(bm.find({1, 1}));
 }
 
 TEST(BlockManager, EvictsLeastRecentlyUsed) {
@@ -143,13 +144,13 @@ TEST(BlockManager, ResizeEvictsInLruOrderAndRefreshesRecency) {
 TEST(BlockManager, CorruptionTagLifecycle) {
   BlockManager bm(1000.0);
   bm.insert({1, 0}, 100.0);
-  EXPECT_FALSE(bm.is_corrupt({1, 0}));      // fresh write: valid checksum
-  EXPECT_FALSE(bm.mark_corrupt({9, 9}));    // absent block
-  EXPECT_FALSE(bm.is_corrupt({9, 9}));
+  EXPECT_FALSE(bm.find({1, 0})->corrupted);  // fresh write: valid checksum
+  EXPECT_FALSE(bm.mark_corrupt({9, 9}));     // absent block
+  EXPECT_FALSE(bm.find({9, 9}));
   EXPECT_TRUE(bm.mark_corrupt({1, 0}));
-  EXPECT_TRUE(bm.is_corrupt({1, 0}));
-  bm.insert({1, 0}, 100.0);                 // rewrite restamps the checksum
-  EXPECT_FALSE(bm.is_corrupt({1, 0}));
+  EXPECT_TRUE(bm.find({1, 0})->corrupted);
+  bm.insert({1, 0}, 100.0);                  // rewrite restamps the checksum
+  EXPECT_FALSE(bm.find({1, 0})->corrupted);
 }
 
 // --- per-tenant cache quotas ----------------------------------------------
