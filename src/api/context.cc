@@ -266,10 +266,6 @@ Context::Context(ContextOptions options)
   dag_opts.replicate_on_recompute = run_config_.replicate_on_recompute;
   dag_opts.detail_task_metrics = options_.detail_task_metrics;
   dag_opts.faults = options_.faults;
-  // The planner must agree with the block stores on policy and pinning:
-  // kCostSize needs recompute-cost estimates stamped on cached blocks,
-  // pin_running_blocks needs referenced-block lists in every task plan.
-  dag_opts.cache = options_.cluster.cache;
   dag_opts.overload = options_.overload;
   dag_opts.tenants = options_.tenants;
   dag_opts.auto_cache = options_.auto_cache;

@@ -40,9 +40,9 @@ struct ContextOptions {
   ConfigKind config = ConfigKind::kStarkH;
   // Cluster topology and per-server resources. cluster.cache selects the
   // block stores' eviction policy (LRU / LRC / cost-size) and pinning —
-  // see cluster/eviction_policy.h; the choice is mirrored into the DAG
-  // scheduler so lineage refcounts and recompute-cost estimates flow to
-  // the stores that need them.
+  // see cluster/eviction_policy.h; the DAG scheduler's planner reads the
+  // same settings from the Cluster, so lineage refcounts and recompute-cost
+  // estimates flow to the stores that need them.
   ClusterConfig cluster;
   // Calibrated cpu/net/disk/GC timing model (docs/COST_MODEL.md).
   CostModel cost;

@@ -74,9 +74,10 @@ const char* eviction_policy_name(EvictionPolicyKind kind);
 // blocks. 0 for datasets no in-flight stage needs. Only kLrc consults it.
 using LineageRefcountFn = std::function<int(DatasetId)>;
 
-// Cache-policy knobs, wired through ContextOptions::cluster.cache (and
-// mirrored into DagOptions::cache by api::Context). Defaults reproduce the
-// historical engine exactly: plain LRU, no pinning.
+// Cache-policy knobs, wired through ContextOptions::cluster.cache. The block
+// stores and the DagScheduler's task planner both read them from the
+// Cluster's config. Defaults reproduce the historical engine exactly: plain
+// LRU, no pinning.
 struct CachePolicyOptions {
   EvictionPolicyKind policy = EvictionPolicyKind::kLru;
   // Pin blocks referenced by currently-running tasks so they are never

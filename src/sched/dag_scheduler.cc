@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.h"
 
@@ -216,29 +217,41 @@ void DagScheduler::start_job(Job& ref) {
 void DagScheduler::close_undispatched(Job& job, JobStatus status,
                                       std::string reason) {
   if (job.done) return;
+  close_job(job, status, std::move(reason));
+  deliver_result(job);
+}
+
+void DagScheduler::close_job(Job& job, JobStatus status, std::string reason) {
   job.done = true;
   job.queued = false;
-  job.result.completed = false;
-  job.result.status = status;
-  job.result.failure_reason = std::move(reason);
-  job.result.finish_time = sim_->now();
-  job.result.delay = job.result.finish_time - job.result.submit_time;
+  JobResult& r = job.result;
+  r.completed = status == JobStatus::kCompleted;
+  r.status = status;
+  r.failure_reason = std::move(reason);
+  r.finish_time = sim_->now();
+  r.delay = r.finish_time - r.submit_time;
+  collect_stage_breakdowns(job);
   cancel_deadline(job.id);
+  release_admission_slot(job);
   if (obs::Tracer::active(tracer_)) {
     obs::TraceEvent e;
     e.kind = obs::TraceKind::kJobFinish;
-    e.t0 = job.result.submit_time;
-    e.t1 = job.result.finish_time;
+    e.t0 = r.submit_time;
+    e.t1 = r.finish_time;
     e.job = job.id;
     e.tenant = job.tenant;
-    tracer_->emit(e);  // no kFlagCompleted: the job never ran
+    // A job closed before dispatch ran no stage: task_index stays -1.
+    if (!job.stages.empty()) e.task_index = r.num_tasks;
+    if (r.completed) e.flags |= obs::kFlagCompleted;
+    tracer_->emit(e);
   }
+}
+
+void DagScheduler::deliver_result(Job& job) {
   const JobId id = job.id;
-  results_.emplace(id, job.result);
-  if (job.cb) {
-    auto cb = job.cb;
-    cb(results_.at(id));
-  }
+  const JobResult& r =
+      results_.emplace(id, std::move(job.result)).first->second;
+  if (const JobCallback cb = std::move(job.cb)) cb(r);
   jobs_.erase(id);  // `job` is dangling from here on
 }
 
@@ -401,12 +414,12 @@ DagScheduler::StageRun* DagScheduler::build_stage(
   }
 
   for (const auto& edge : raw->chain.shuffle_deps) {
-    const ShuffleKey key = edge.key();
-    shuffle_edges_.try_emplace(key, edge);  // remember the producer edge
-    if (shuffle_done_.contains(key)) continue;
+    Shuffle& sh = shuffles_[edge.key()];
+    if (sh.done) continue;
     ++raw->waiting_parents;
-    shuffle_waiters_[key].push_back(raw);
-    if (shuffle_building_.insert(key).second) {
+    sh.waiters.push_back(raw);
+    if (!sh.building) {
+      sh.building = true;
       build_stage(job, edge.map_side(), edge);
     }
   }
@@ -419,11 +432,10 @@ bool DagScheduler::output_host_healthy(ServerId s) const {
   return srv.alive() && srv.reachable();
 }
 
-bool DagScheduler::shuffle_healthy(const ShuffleKey& key) const {
-  const auto it = map_outputs_.find(key);
-  if (it == map_outputs_.end() || it->second.empty()) return false;
-  for (const ServerId h : it->second) {
-    if (!output_host_healthy(h)) return false;
+bool DagScheduler::shuffle_healthy(const Shuffle& shuffle) const {
+  if (shuffle.outputs.empty()) return false;
+  for (const MapOutput& out : shuffle.outputs) {
+    if (!output_host_healthy(out.host)) return false;
   }
   return true;
 }
@@ -442,16 +454,11 @@ void DagScheduler::maybe_launch(StageRun& stage) {
   std::vector<std::size_t> todo;
   todo.reserve(units.size());
   if (stage.output.has_value()) {
-    auto& outs = map_outputs_[stage.output->key()];
-    if (outs.size() != units.size()) {
-      outs.assign(units.size(), kInvalidId);
-    }
-    // One probe for the corruption shadow instead of one per unit.
-    auto& corr = corrupt_flags(stage.output->key(), units.size());
+    auto& outs = shuffles_[stage.output->key()].outputs;
+    if (outs.size() != units.size()) outs.assign(units.size(), {});
     for (std::size_t i = 0; i < units.size(); ++i) {
-      if (output_host_healthy(outs[i])) continue;
-      outs[i] = kInvalidId;
-      corr[i] = 0;
+      if (output_host_healthy(outs[i].host)) continue;
+      outs[i] = {};
       todo.push_back(i);
     }
     if (todo.empty()) {
@@ -507,27 +514,14 @@ void DagScheduler::maybe_launch(StageRun& stage) {
     // observer): any namespaced block materializing on an executor makes it
     // an additional home for its unit.
     if (stage_ptr->output.has_value()) {
-      // MapOutputTracker registration.
-      const ShuffleKey key = stage_ptr->output->key();
-      auto& outs = map_outputs_[key];
+      // MapOutputTracker registration. A re-registered unit is a clean
+      // rewrite: its checksum tag is fresh, and if its corruption was
+      // detected earlier it now counts repaired.
+      Shuffle& sh = shuffles_[stage_ptr->output->key()];
       const int pos =
           stage_ptr->task_unit_pos[static_cast<std::size_t>(task.index)];
-      outs[static_cast<std::size_t>(pos)] = m.server;
-      // A re-registered unit is a clean rewrite: its checksum tag is fresh,
-      // and if its corruption was detected earlier it now counts repaired.
-      // Both maps are empty unless corruption faults are on; skip the
-      // ShuffleKey hashes entirely in the fault-free common case.
-      if (!map_output_corrupt_.empty()) {
-        clear_corrupt_flag(key, static_cast<std::size_t>(pos));
-      }
-      if (!pending_shuffle_repair_.empty()) {
-        const auto rit = pending_shuffle_repair_.find(key);
-        if (rit != pending_shuffle_repair_.end() &&
-            rit->second.erase(pos) > 0) {
-          ++stats_.corruptions_repaired;
-          if (rit->second.empty()) pending_shuffle_repair_.erase(rit);
-        }
-      }
+      sh.outputs[static_cast<std::size_t>(pos)] = {m.server};
+      if (sh.repair.erase(pos) > 0) ++stats_.corruptions_repaired;
     }
     JobResult& r = stage_ptr->job->result;
     ++r.num_tasks;
@@ -577,16 +571,12 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
   if (job.done) return;
   if (stage.output.has_value()) {
     const ShuffleKey key = stage.output->key();
+    Shuffle& sh = shuffles_[key];
     // An executor lost mid-stage can leave holes even though every task of
     // the (reduced) set finished: relaunch just the missing units.
-    auto& outs = map_outputs_[key];
-    bool complete = true;
-    for (const ServerId h : outs) {
-      if (!output_host_healthy(h)) {
-        complete = false;
-        break;
-      }
-    }
+    const bool complete = std::all_of(
+        sh.outputs.begin(), sh.outputs.end(),
+        [this](const MapOutput& out) { return output_host_healthy(out.host); });
     if (!complete) {
       ++stage.attempts;
       if (stage.attempts > options_.faults.max_stage_attempts) {
@@ -611,30 +601,20 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
       maybe_launch(stage);
       return;
     }
-    shuffle_done_.insert(key);
-    shuffle_building_.erase(key);
+    sh.done = true;
+    sh.building = false;
     // Spark limits *consecutive* failed attempts: success clears the
     // count so unrelated failures over a long-lived stage never add up
     // to an abort.
     stage.attempts = 0;
     shuffle_bytes_ += stage.boundary->total_bytes();
-    const auto it = shuffle_waiters_.find(key);
-    if (it != shuffle_waiters_.end()) {
-      const auto waiters = std::move(it->second);
-      shuffle_waiters_.erase(it);
-      for (StageRun* w : waiters) {
-        --w->waiting_parents;
-        maybe_launch(*w);
-      }
+    for (StageRun* w : std::exchange(sh.waiters, {})) {
+      --w->waiting_parents;
+      maybe_launch(*w);
     }
     // Reduce stages parked on a FetchFailed for this shuffle resume.
-    const auto fit = fetch_waiters_.find(key);
-    if (fit != fetch_waiters_.end()) {
-      const auto parked = std::move(fit->second);
-      fetch_waiters_.erase(fit);
-      for (StageRun* w : parked) {
-        task_scheduler_.unpark(w->job->id, w->id);
-      }
+    for (StageRun* w : std::exchange(sh.parked, {})) {
+      task_scheduler_.unpark(w->job->id, w->id);
     }
   }
   // Past every relaunch path: the stage is truly done, drop its lineage
@@ -670,33 +650,9 @@ void DagScheduler::collect_stage_breakdowns(Job& job) {
 }
 
 void DagScheduler::finish_job(Job& job) {
-  job.done = true;
-  job.result.completed = true;
-  job.result.status = JobStatus::kCompleted;
-  job.result.finish_time = sim_->now();
-  job.result.delay = job.result.finish_time - job.result.submit_time;
-  collect_stage_breakdowns(job);
-  cancel_deadline(job.id);
-  release_admission_slot(job);
-  if (obs::Tracer::active(tracer_)) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceKind::kJobFinish;
-    e.t0 = job.result.submit_time;
-    e.t1 = job.result.finish_time;
-    e.job = job.id;
-    e.tenant = job.tenant;
-    e.task_index = job.result.num_tasks;
-    e.flags |= obs::kFlagCompleted;
-    tracer_->emit(e);
-  }
+  close_job(job, JobStatus::kCompleted, {});
   ++jobs_completed_;
-  const JobId id = job.id;
-  results_.emplace(id, job.result);
-  if (job.cb) {
-    auto cb = job.cb;
-    cb(results_.at(id));
-  }
-  jobs_.erase(id);  // `job` is dangling from here on
+  deliver_result(job);
   // Job boundaries are the advisor's other sweep point: a dataset whose
   // last consumer just finished starts its grace period now and is
   // reclaimed by a later submit/finish once the period elapses.
@@ -707,77 +663,46 @@ void DagScheduler::finish_job(Job& job) {
 void DagScheduler::abort_job(Job& job, const std::string& reason,
                              JobStatus status) {
   if (job.done) return;
-  job.done = true;
-  job.result.completed = false;
-  job.result.status = status;
-  job.result.failure_reason = reason;
-  job.result.finish_time = sim_->now();
-  job.result.delay = job.result.finish_time - job.result.submit_time;
-  collect_stage_breakdowns(job);
-  if (obs::Tracer::active(tracer_)) {
-    obs::TraceEvent e;
-    e.kind = obs::TraceKind::kJobFinish;
-    e.t0 = job.result.submit_time;
-    e.t1 = job.result.finish_time;
-    e.job = job.id;
-    e.tenant = job.tenant;
-    e.task_index = job.result.num_tasks;
-    tracer_->emit(e);  // no kFlagCompleted: the job aborted
-  }
+  close_job(job, status, reason);
   ++stats_.jobs_aborted;
   STARK_LOG_INFO("job %d aborted: %s", job.id, reason.c_str());
-  cancel_deadline(job.id);
-  release_admission_slot(job);
   task_scheduler_.cancel_job(job.id);
   // The StageRuns die with the job below: drop any lineage charges their
-  // completed-stage path never released (no-op for stages that did).
-  for (const auto& stage : job.stages) release_lineage_refcounts(*stage);
-
-  // Purge this job's stages from every waiter registry (the StageRun
-  // objects die with the job).
-  const auto purge = [&job](auto& registry) {
-    for (auto it = registry.begin(); it != registry.end();) {
-      auto& v = it->second;
-      std::erase_if(v, [&job](StageRun* w) { return w->job == &job; });
-      it = v.empty() ? registry.erase(it) : std::next(it);
-    }
-  };
-  purge(shuffle_waiters_);
-  purge(fetch_waiters_);
-
-  // Map stages this job was building that other jobs wait on become
-  // orphans: release the building guard and re-home them below.
-  std::vector<ShuffleKey> orphans;
+  // completed-stage path never released (no-op for stages that did), and
+  // purge them from the waiter lists of the shuffles they read. Map stages
+  // this job was building become orphans: release the building guard and
+  // re-home them below under a job that still waits on them.
+  const auto mine = [&job](const StageRun* w) { return w->job == &job; };
+  std::vector<ShuffleEdge> orphans;
   for (const auto& stage : job.stages) {
-    if (!stage->output.has_value()) continue;
-    const ShuffleKey key = stage->output->key();
-    if (shuffle_done_.contains(key)) continue;
-    if (shuffle_building_.erase(key) > 0) orphans.push_back(key);
-  }
-
-  const JobId id = job.id;
-  results_.emplace(id, job.result);
-  if (job.cb) {
-    auto cb = job.cb;
-    cb(results_.at(id));
-  }
-  jobs_.erase(id);  // `job` is dangling from here on
-
-  for (const ShuffleKey& key : orphans) {
-    const auto wit = shuffle_waiters_.find(key);
-    if (wit == shuffle_waiters_.end() || wit->second.empty()) {
-      // Nobody needs it; a future job will rebuild on demand.
-      continue;
+    release_lineage_refcounts(*stage);
+    for (const ShuffleEdge& edge : stage->chain.shuffle_deps) {
+      Shuffle& sh = shuffles_[edge.key()];
+      std::erase_if(sh.waiters, mine);
+      std::erase_if(sh.parked, mine);
     }
-    rebuild_shuffle(key, *wit->second.front()->job);
+    if (!stage->output.has_value()) continue;
+    Shuffle& sh = shuffles_[stage->output->key()];
+    if (sh.done || !sh.building) continue;
+    sh.building = false;
+    orphans.push_back(*stage->output);
+  }
+  deliver_result(job);
+
+  for (const ShuffleEdge& edge : orphans) {
+    const Shuffle& sh = shuffles_[edge.key()];
+    // Nobody needs it; a future job will rebuild on demand.
+    if (sh.waiters.empty()) continue;
+    rebuild_shuffle(edge, *sh.waiters.front()->job);
   }
   drain_admission_queue();
 }
 
-void DagScheduler::rebuild_shuffle(const ShuffleKey& key, Job& owner) {
-  if (!shuffle_building_.insert(key).second) return;  // already in flight
+void DagScheduler::rebuild_shuffle(const ShuffleEdge& edge, Job& owner) {
+  Shuffle& sh = shuffles_[edge.key()];
+  if (sh.building) return;  // already in flight
+  sh.building = true;
   ++stats_.stage_resubmissions;
-  const ShuffleEdge& edge = shuffle_edges_.at(key);
   const std::size_t before = owner.stages.size();
   build_stage(owner, edge.map_side(), edge);
   if (obs::Tracer::active(tracer_)) {
@@ -805,7 +730,8 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
   }
   ++stats_.fetch_failures;
   const ShuffleKey key = failure.shuffle;
-  if (shuffle_healthy(key)) {
+  Shuffle& sh = shuffles_[key];
+  if (shuffle_healthy(sh)) {
     // Stale epoch: the shuffle was rebuilt after this task launched with
     // the old output locations. Spark's DAGScheduler ignores such fetch
     // failures; the task simply reruns against the fresh locations.
@@ -815,20 +741,16 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
                   stage.id, key.child, key.dep_index, failure.fetch_source);
   // Invalidate everything the failing host served for this shuffle; the
   // relaunch skips units that survived elsewhere.
-  const auto oit = map_outputs_.find(key);
-  if (oit != map_outputs_.end() && failure.fetch_source != kInvalidId) {
-    for (std::size_t i = 0; i < oit->second.size(); ++i) {
-      if (oit->second[i] == failure.fetch_source) {
-        oit->second[i] = kInvalidId;
-        clear_corrupt_flag(key, i);
-      }
+  if (failure.fetch_source != kInvalidId) {
+    for (MapOutput& out : sh.outputs) {
+      if (out.host == failure.fetch_source) out = {};
     }
   }
-  shuffle_done_.erase(key);
+  sh.done = false;
 
   // First FetchFailed of this round for this reduce stage opens a new stage
   // attempt (spark.stage.maxConsecutiveAttempts).
-  auto& parked = fetch_waiters_[key];
+  auto& parked = sh.parked;
   if (std::find(parked.begin(), parked.end(), &stage) == parked.end()) {
     parked.push_back(&stage);
     ++stage.attempts;
@@ -841,7 +763,13 @@ TaskFailureAction DagScheduler::on_task_failed(StageRun& stage,
       return TaskFailureAction::kRetry;  // moot: the set is cancelled
     }
   }
-  rebuild_shuffle(key, *stage.job);
+  // The failed fetch was planned from this stage's chain, so the chain
+  // holds the shuffle's producer edge.
+  for (const ShuffleEdge& edge : stage.chain.shuffle_deps) {
+    if (edge.key() != key) continue;
+    rebuild_shuffle(edge, *stage.job);
+    break;
+  }
   return TaskFailureAction::kPark;
 }
 
@@ -853,44 +781,17 @@ void DagScheduler::on_executor_lost(ServerId s, double detection_latency) {
   locality_->on_server_failure(s);
   // MapOutputTracker: every map output hosted there is gone; shuffles that
   // lose outputs are no longer complete and rebuild on demand.
-  for (auto& [key, hosts] : map_outputs_) {
-    // Probe the corruption shadow at most once per shuffle, not per unit.
-    std::vector<char>* corr = nullptr;
-    bool corr_looked_up = false;
-    bool lost = false;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (hosts[i] == s) {
-        hosts[i] = kInvalidId;
-        if (!corr_looked_up) {
-          corr_looked_up = true;
-          const auto cit = map_output_corrupt_.find(key);
-          corr = cit != map_output_corrupt_.end() ? &cit->second : nullptr;
-        }
-        if (corr != nullptr && i < corr->size()) (*corr)[i] = 0;
-        lost = true;
-      }
+  for (auto& [key, sh] : shuffles_) {
+    for (MapOutput& out : sh.outputs) {
+      if (out.host != s) continue;
+      out = {};
+      sh.done = false;
     }
-    if (lost) shuffle_done_.erase(key);
   }
   task_scheduler_.handle_server_failure(s);
 }
 
 // --- silent-data-corruption faults ------------------------------------------
-
-std::vector<char>& DagScheduler::corrupt_flags(const ShuffleKey& key,
-                                               std::size_t n) {
-  auto& v = map_output_corrupt_[key];
-  if (v.size() != n) v.assign(n, 0);
-  return v;
-}
-
-void DagScheduler::clear_corrupt_flag(const ShuffleKey& key,
-                                      std::size_t unit) {
-  const auto it = map_output_corrupt_.find(key);
-  if (it != map_output_corrupt_.end() && unit < it->second.size()) {
-    it->second[unit] = 0;
-  }
-}
 
 void DagScheduler::emit_corruption_event(obs::TraceKind kind, ServerId host,
                                          DatasetId dataset, int partition,
@@ -929,34 +830,28 @@ bool DagScheduler::corrupt_block(MemoryTier tier, ServerId s,
 }
 
 bool DagScheduler::corrupt_shuffle_output(const ShuffleKey& key, int unit) {
-  const auto oit = map_outputs_.find(key);
-  if (oit == map_outputs_.end()) return false;
-  if (unit < 0 || static_cast<std::size_t>(unit) >= oit->second.size()) {
+  const auto it = shuffles_.find(key);
+  if (it == shuffles_.end() || unit < 0 ||
+      static_cast<std::size_t>(unit) >= it->second.outputs.size()) {
     return false;
   }
-  const ServerId host = oit->second[static_cast<std::size_t>(unit)];
-  if (!output_host_healthy(host)) return false;
-  auto& corr = corrupt_flags(key, oit->second.size());
-  if (corr[static_cast<std::size_t>(unit)]) return false;  // already corrupt
-  corr[static_cast<std::size_t>(unit)] = 1;
+  MapOutput& out = it->second.outputs[static_cast<std::size_t>(unit)];
+  if (!output_host_healthy(out.host) || out.corrupt) return false;
+  out.corrupt = true;
   ++stats_.corruptions_injected;
-  emit_corruption_event(obs::TraceKind::kBlockCorrupt, host, key.child, unit,
-                        /*bytes=*/0.0, /*shuffle=*/true);
+  emit_corruption_event(obs::TraceKind::kBlockCorrupt, out.host, key.child,
+                        unit, /*bytes=*/0.0, /*shuffle=*/true);
   return true;
 }
 
 std::vector<DagScheduler::ShuffleOutputRef>
 DagScheduler::live_shuffle_outputs() const {
   std::vector<ShuffleOutputRef> out;
-  for (const auto& [key, hosts] : map_outputs_) {
-    const auto cit = map_output_corrupt_.find(key);
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-      if (!output_host_healthy(hosts[i])) continue;
-      if (cit != map_output_corrupt_.end() && i < cit->second.size() &&
-          cit->second[i]) {
-        continue;
-      }
-      out.push_back({key, static_cast<int>(i), hosts[i]});
+  for (const auto& [key, sh] : shuffles_) {
+    for (std::size_t i = 0; i < sh.outputs.size(); ++i) {
+      const MapOutput& unit = sh.outputs[i];
+      if (!output_host_healthy(unit.host) || unit.corrupt) continue;
+      out.push_back({key, static_cast<int>(i), unit.host});
     }
   }
   std::sort(out.begin(), out.end(),
@@ -1174,7 +1069,7 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
     cluster_->touch_copy(tier, server, bid);
     if (tier != MemoryTier::kRam) {
       fault_back(ds, partition, server, boundary_id, stored, tier, plan);
-    } else if (options_.cache.pin_running_blocks) {
+    } else if (cluster_->config().cache.pin_running_blocks) {
       // The block must survive until this task releases it; the
       // TaskScheduler pins at launch and unpins at resource release.
       plan.blocks_referenced.push_back(bid);
@@ -1291,7 +1186,7 @@ void DagScheduler::plan_chain(const DatasetPtr& ds, int partition,
     const Bytes footprint =
         serialized ? bytes * cost_.serialization_ratio : bytes;
     double recompute_cost = 0.0;
-    if (options_.cache.policy == EvictionPolicyKind::kCostSize) {
+    if (cluster_->config().cache.policy == EvictionPolicyKind::kCostSize) {
       // Only the cost/size policy reads the estimate; skip the lineage
       // walk otherwise so the default planner path stays byte-identical.
       recompute_cost = recompute_delay_partition(
@@ -1317,7 +1212,7 @@ void DagScheduler::fault_back(const DatasetPtr& ds, int partition,
   }
   const BlockId bid{ds->id(), partition};
   double recompute_cost = 0.0;
-  if (options_.cache.policy == EvictionPolicyKind::kCostSize) {
+  if (cluster_->config().cache.policy == EvictionPolicyKind::kCostSize) {
     recompute_cost =
         recompute_delay_partition(*ds, static_cast<std::size_t>(partition));
   }
@@ -1349,16 +1244,13 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
   // complete — it burns its connection retries and raises FetchFailed.
   for (const auto& edge : stage.chain.shuffle_deps) {
     const ShuffleKey key = edge.key();
-    const auto oit = map_outputs_.find(key);
-    if (oit == map_outputs_.end()) continue;  // pre-tracking shuffle
-    for (const ServerId h : oit->second) {
-      if (output_host_healthy(h)) continue;
+    Shuffle& sh = shuffles_.at(key);
+    for (const MapOutput& out : sh.outputs) {
+      if (output_host_healthy(out.host)) continue;
       TaskPlan failed;
-      failed.fetch_failure = TaskPlan::FetchFailure{key, h};
+      failed.fetch_failure = TaskPlan::FetchFailure{key, out.host};
       return failed;
     }
-    const auto cit = map_output_corrupt_.find(key);
-    if (cit == map_output_corrupt_.end()) continue;
     if (options_.faults.verify_reads) {
       // Verified fetch: a checksum mismatch surfaces as FetchFailed, the
       // same path a lost host takes (corrupt-fetch-as-FetchFailed). Every
@@ -1366,29 +1258,27 @@ TaskPlan DagScheduler::plan_task(const StageRun& stage, const TaskSpec& task,
       // fetches them all anyway — so a single resubmission round
       // regenerates them instead of burning one stage attempt per unit.
       ServerId first_bad = kInvalidId;
-      for (std::size_t i = 0;
-           i < cit->second.size() && i < oit->second.size(); ++i) {
-        if (!cit->second[i]) continue;
-        const ServerId host = oit->second[i];
-        note_corruption_detected(host, key.child, static_cast<int>(i),
+      for (std::size_t i = 0; i < sh.outputs.size(); ++i) {
+        MapOutput& out = sh.outputs[i];
+        if (!out.corrupt) continue;
+        note_corruption_detected(out.host, key.child, static_cast<int>(i),
                                  /*bytes=*/0.0, /*shuffle=*/true);
-        pending_shuffle_repair_[key].insert(static_cast<int>(i));
-        cit->second[i] = 0;
-        oit->second[i] = kInvalidId;
-        if (first_bad == kInvalidId) first_bad = host;
+        sh.repair.insert(static_cast<int>(i));
+        if (first_bad == kInvalidId) first_bad = out.host;
+        out = {};
       }
       if (first_bad != kInvalidId) {
         // The shuffle is no longer complete; on_task_failed's
         // shuffle_healthy check must see that (stale-epoch filtering
         // would otherwise swallow this failure — the host is alive).
-        shuffle_done_.erase(key);
+        sh.done = false;
         TaskPlan failed;
         failed.fetch_failure = TaskPlan::FetchFailure{key, first_bad};
         return failed;
       }
     } else {
-      for (const char c : cit->second) {
-        if (c) ++stats_.corrupt_reads_undetected;
+      for (const MapOutput& out : sh.outputs) {
+        if (out.corrupt) ++stats_.corrupt_reads_undetected;
       }
     }
   }
@@ -1483,12 +1373,10 @@ void DagScheduler::apply_source_slowness(const StageRun& stage,
   auto& hosts = hedge_hosts_scratch_;
   hosts.clear();
   for (const auto& edge : stage.chain.shuffle_deps) {
-    const auto oit = map_outputs_.find(edge.key());
-    if (oit == map_outputs_.end()) continue;
-    for (const ServerId h : oit->second) {
-      if (h == kInvalidId) continue;
-      if (std::find(hosts.begin(), hosts.end(), h) == hosts.end()) {
-        hosts.push_back(h);
+    for (const MapOutput& out : shuffles_.at(edge.key()).outputs) {
+      if (out.host == kInvalidId) continue;
+      if (std::find(hosts.begin(), hosts.end(), out.host) == hosts.end()) {
+        hosts.push_back(out.host);
       }
     }
   }
@@ -1727,10 +1615,6 @@ double DagScheduler::estimate_recovery_delay(const DatasetPtr& ds) const {
 void DagScheduler::handle_server_failure(ServerId s) {
   cluster_->kill_server(s);
   on_executor_lost(s, 0.0);
-}
-
-bool DagScheduler::shuffle_materialized(const ShuffleKey& key) const {
-  return shuffle_done_.contains(key);
 }
 
 }  // namespace stark

@@ -64,12 +64,6 @@ struct DagOptions {
   bool detail_task_metrics = true;
   // Retry / exclusion / resubmission knobs, shared with the TaskScheduler.
   FaultOptions faults;
-  // Cache-policy interaction knobs, mirrored from ClusterConfig::cache by
-  // api::Context (a bare DagScheduler must be handed the same values its
-  // Cluster was built with): pin_running_blocks gates the planner's
-  // referenced-block lists, policy == kCostSize gates per-block
-  // recompute-cost estimation at insert time.
-  CachePolicyOptions cache;
   // Overload protection: admission control, job deadlines and
   // pressure-scaled intake (sched/admission.h). Mirrored from
   // ContextOptions::overload by api::Context; all defaults off.
@@ -150,7 +144,6 @@ class DagScheduler {
   // from checkpoint/shuffle/source anchors (used by tests and benches).
   double estimate_recovery_delay(const DatasetPtr& ds) const;
 
-  bool shuffle_materialized(const ShuffleKey& key) const;
   // Total bytes written as shuffle map outputs so far.
   Bytes total_shuffle_bytes_written() const noexcept { return shuffle_bytes_; }
 
@@ -172,7 +165,6 @@ class DagScheduler {
   // Cumulative cache-probe counters (feed MetricsCollector and the
   // cache-policy ablation bench).
   const CacheStats& cache_stats() const noexcept { return cache_stats_; }
-  void reset_cache_stats() noexcept { cache_stats_.reset(); }
 
   // --- overload protection --------------------------------------------------
   // Cumulative admission/deadline/pressure counters (feed MetricsCollector
@@ -180,7 +172,6 @@ class DagScheduler {
   const OverloadStats& overload_stats() const noexcept {
     return overload_stats_;
   }
-  void reset_overload_stats() noexcept { overload_stats_.reset(); }
   // Memory-pressure source, polled on every submit and job completion.
   // Null (the default) reads as permanently Green. api::Context wires it
   // to a MemoryPressureMonitor when overload.pressure.enabled.
@@ -215,7 +206,6 @@ class DagScheduler {
   SlowBand slowness_band(ServerId s) const noexcept {
     return slowness_ ? slowness_->band(s) : SlowBand::kHealthy;
   }
-  SlownessTracker* slowness() noexcept { return slowness_.get(); }
 
   // --- automatic cache management -------------------------------------------
   // Advisor counters; a zero struct while auto_cache.mode == kManual (no
@@ -326,6 +316,30 @@ class DagScheduler {
 
     AdmissionKey admission_key() const { return AdmissionKey{tenant, lane}; }
   };
+  // One map unit's registered output: its host (kInvalidId = lost / never
+  // built) and whether the stored copy carries a bad checksum tag.
+  struct MapOutput {
+    ServerId host = kInvalidId;
+    bool corrupt = false;
+  };
+  // Scheduler-side state for one shuffle (MapOutputTracker entry). Records
+  // are never erased, so references survive inserts made by nested
+  // build_stage / maybe_launch calls.
+  struct Shuffle {
+    // Per map unit, sized at map-stage launch.
+    std::vector<MapOutput> outputs;
+    bool done = false;      // every output registered on a healthy host
+    bool building = false;  // a map stage (possibly another job's) is live
+    // Stages whose launch waits on this shuffle.
+    std::vector<StageRun*> waiters;
+    // Launched reduce stages parked on a FetchFailed; unparked when the
+    // resubmitted map stage completes.
+    std::vector<StageRun*> parked;
+    // Units whose corruption was detected and that await a clean rewrite
+    // (counted as corruptions_repaired when re-registered). Positions, not
+    // a per-output flag: they outlive a Stark-E regroup re-sizing outputs.
+    std::unordered_set<int> repair;
+  };
 
   // Dispatch a job past admission: build its stages and launch what is
   // ready (the pre-overload submit() body).
@@ -333,6 +347,12 @@ class DagScheduler {
   // Close a job that never dispatched (rejected, shed, or deadline-expired
   // while queued): zero stages, finish_time == submit_time == now of close.
   void close_undispatched(Job& job, JobStatus status, std::string reason);
+  // The close path every job takes once: stamps the result, collects stage
+  // breakdowns, cancels the deadline, releases the admission slot and
+  // traces kJobFinish.
+  void close_job(Job& job, JobStatus status, std::string reason);
+  // Records the closed job's result, fires its callback and erases it.
+  void deliver_result(Job& job);
   // Deadline machinery. Events live in deadline_events_; an entry is erased
   // by whichever of {handler fired, job finished, job aborted} comes first,
   // so a recycled EventId is never cancelled by mistake.
@@ -365,13 +385,13 @@ class DagScheduler {
                  JobStatus status = JobStatus::kFailed);
   TaskFailureAction on_task_failed(StageRun& stage, const TaskSpec& task,
                                    const TaskFailure& failure);
-  // Builds (or rebuilds) the map stage for `key` under `owner` and launches
-  // whatever became ready.
-  void rebuild_shuffle(const ShuffleKey& key, Job& owner);
+  // Builds (or rebuilds) the map stage for `edge` under `owner` and
+  // launches whatever became ready.
+  void rebuild_shuffle(const ShuffleEdge& edge, Job& owner);
   // The map-output host is usable for fetches right now.
   bool output_host_healthy(ServerId s) const;
   // Every registered output of the shuffle sits on a live, reachable host.
-  bool shuffle_healthy(const ShuffleKey& key) const;
+  bool shuffle_healthy(const Shuffle& shuffle) const;
   std::vector<ServerId> preferred_servers(const StageRun& stage, int unit_id,
                                           int lo, int hi);
   TaskPlan plan_task(const StageRun& stage, const TaskSpec& task,
@@ -398,9 +418,6 @@ class DagScheduler {
   // batches) vetoes whose datasets no handle reaches any more.
   void veto_reinsertion(const DatasetPtr& ds);
   double recovery_chain_delay(const DatasetPtr& ds, int partition) const;
-  // Corrupt-flag vector for a shuffle, resized to n units on demand.
-  std::vector<char>& corrupt_flags(const ShuffleKey& key, std::size_t n);
-  void clear_corrupt_flag(const ShuffleKey& key, std::size_t unit);
   // Detection bookkeeping shared by the cache probe, spill read and fetch
   // paths: counter, quarantine charge, trace event.
   void note_corruption_detected(ServerId host, DatasetId dataset,
@@ -432,32 +449,12 @@ class DagScheduler {
 
   std::unordered_map<JobId, std::unique_ptr<Job>> jobs_;
   std::unordered_map<JobId, JobResult> results_;
-  std::unordered_set<ShuffleKey, ShuffleKeyHash> shuffle_done_;
-  // Shuffles with a map stage built (possibly by another job) but not yet
-  // materialized, with the stages waiting on them.
-  std::unordered_map<ShuffleKey, std::vector<StageRun*>, ShuffleKeyHash>
-      shuffle_waiters_;
-  std::unordered_set<ShuffleKey, ShuffleKeyHash> shuffle_building_;
-  // MapOutputTracker: which executor hosts each map unit's output
-  // (kInvalidId = lost / never built). Sized per shuffle at map launch.
-  std::unordered_map<ShuffleKey, std::vector<ServerId>, ShuffleKeyHash>
-      map_outputs_;
-  // Producer edge for each shuffle ever built, for resubmission.
-  std::unordered_map<ShuffleKey, ShuffleEdge, ShuffleKeyHash> shuffle_edges_;
-  // Launched reduce stages parked on a FetchFailed shuffle; unparked when
-  // the resubmitted map stage completes.
-  std::unordered_map<ShuffleKey, std::vector<StageRun*>, ShuffleKeyHash>
-      fetch_waiters_;
-  // Integrity shadow of map_outputs_: nonzero means the unit's stored
-  // output has a bad checksum tag. Cleared whenever the unit is
-  // (re)registered or its host entry is invalidated.
-  std::unordered_map<ShuffleKey, std::vector<char>, ShuffleKeyHash>
-      map_output_corrupt_;
-  // Detected-corrupt identities awaiting a clean rewrite; a later block
-  // insert / map-output registration counts as corruptions_repaired.
+  // Every shuffle any stage chain has referenced. Holds no dataset: a
+  // shuffle's producer edge lives in the stage chains that read it.
+  std::unordered_map<ShuffleKey, Shuffle, ShuffleKeyHash> shuffles_;
+  // Detected-corrupt blocks awaiting a clean rewrite; a later insert counts
+  // as corruptions_repaired.
   std::unordered_set<BlockId, BlockIdHash> pending_block_repair_;
-  std::unordered_map<ShuffleKey, std::unordered_set<int>, ShuffleKeyHash>
-      pending_shuffle_repair_;
   FailureStats stats_;
   CacheStats cache_stats_;
   // Fail-slow scorecards; constructed only when faults.slowness.enabled

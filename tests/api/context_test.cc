@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "trace/wiki.h"
 
 namespace stark {
@@ -100,6 +102,21 @@ TEST(Context, IngestLazyDoesNotRunJob) {
   auto ds = ctx.ingest("d", hist(), part, "logs", {.materialize = false});
   EXPECT_FALSE(ctx.cluster().cached_anywhere({ds->id(), 0}));
   EXPECT_DOUBLE_EQ(ctx.sim().now(), 0.0);
+}
+
+TEST(Context, ShuffledDatasetDiesWithItsLastHandle) {
+  Context ctx(opts(ConfigKind::kStarkH));
+  auto part = ctx.collection_partitioner(8, 512);
+  std::weak_ptr<Dataset> weak;
+  {
+    // A lazy ingest is a shuffle (partition_by over the raw source); the
+    // count builds and completes its map stage.
+    auto ds = ctx.ingest("d", hist(), part, "logs", {.materialize = false});
+    weak = ds;
+    ASSERT_TRUE(ctx.count(ds).completed);
+  }
+  // No scheduler state outlives the jobs that read the shuffle.
+  EXPECT_TRUE(weak.expired());
 }
 
 TEST(Context, IngestRejectsBadSourceSplits) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "cluster/block_manager.h"
@@ -210,6 +211,13 @@ TEST(EvictionPolicy, ClusterRefcountBumpsClampAtZero) {
   EXPECT_EQ(cluster.lineage_refcount(7), 0);
 }
 
+KeyHistogramPtr hist() {
+  trace::WikiTraceGen::Config c;
+  c.num_urls = 256;
+  return std::make_shared<const KeyHistogram>(
+      trace::WikiTraceGen(c).histogram(64 * kMiB, 0.9));
+}
+
 // Full-engine harness: the lineage refcount channel across a job lifecycle.
 class LrcLifecycleTest : public ::testing::Test {
  protected:
@@ -221,21 +229,12 @@ class LrcLifecycleTest : public ::testing::Test {
     cluster_ = std::make_unique<Cluster>(cc);
     locality_ = std::make_unique<LocalityManager>(*cluster_);
     groups_ = std::make_unique<GroupManager>(*locality_);
-    DagOptions opts;
-    opts.cache = cc.cache;
     dag_ = std::make_unique<DagScheduler>(*sim_, *cluster_, CostModel{},
-                                          *locality_, *groups_, opts);
+                                          *locality_, *groups_, DagOptions{});
     cluster_->add_block_observer(
         [this](ServerId s, const BlockId& id, bool inserted) {
           dag_->tasks().on_block_event(s, id, inserted);
         });
-  }
-
-  KeyHistogramPtr hist() {
-    trace::WikiTraceGen::Config c;
-    c.num_urls = 256;
-    return std::make_shared<const KeyHistogram>(
-        trace::WikiTraceGen(c).histogram(64 * kMiB, 0.9));
   }
 
   std::unique_ptr<sim::Simulation> sim_;
@@ -276,6 +275,47 @@ TEST_F(LrcLifecycleTest, CachedBlocksLandDespitePolicy) {
         cluster_->cache_locations({cached->id(), p}).size());
   }
   EXPECT_GT(replicas, 0);
+}
+
+// The planner takes pinning from the cluster it plans against: a bare
+// DagScheduler with default options still pins the cached blocks its
+// running tasks read.
+TEST(PlannerPinning, FollowsTheClusterConfig) {
+  ClusterConfig cc;
+  cc.num_servers = 4;
+  cc.cache.pin_running_blocks = true;
+  sim::Simulation sim;
+  Cluster cluster(cc);
+  LocalityManager locality(cluster);
+  GroupManager groups(locality);
+  DagScheduler dag(sim, cluster, CostModel{}, locality, groups, DagOptions{});
+  cluster.add_block_observer(
+      [&dag](ServerId s, const BlockId& id, bool inserted) {
+        dag.tasks().on_block_event(s, id, inserted);
+      });
+  auto cached = Dataset::source("s", hist(), 4)->filter({.selectivity = 0.5});
+  cached->cache();
+  ASSERT_TRUE(dag.run_job(cached).completed);
+
+  const auto pins = [&] {
+    int n = 0;
+    for (ServerId s = 0; s < cluster.size(); ++s) {
+      for (int p = 0; p < cached->num_partitions(); ++p) {
+        n += cluster.server(s).storage().pin_count({cached->id(), p});
+      }
+    }
+    return n;
+  };
+  // A second job reads the cached blocks; sample their pins as it runs.
+  const JobId id = dag.submit(cached->map_values(), ActionType::kCount);
+  int peak = 0;
+  sim.run_until([&] {
+    peak = std::max(peak, pins());
+    return dag.job_done(id);
+  });
+  ASSERT_TRUE(dag.result(id).completed);
+  EXPECT_GT(peak, 0);
+  EXPECT_EQ(pins(), 0);  // every pin left with its task
 }
 
 }  // namespace

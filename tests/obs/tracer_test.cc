@@ -197,5 +197,56 @@ TEST(ContextTracing, TracingDoesNotPerturbSimulatedTime) {
   EXPECT_EQ(delay_off, delay_on);  // bit-identical, not merely close
 }
 
+// Every way a job can close (abort mid-run, deadline while queued,
+// rejection, completion) traces exactly one kJobFinish span.
+TEST(ContextTracing, OneJobFinishPerClosePath) {
+  ContextOptions o = traced_opts();
+  o.overload.admission_enabled = true;
+  o.overload.policy = AdmissionPolicy::kRejectNew;
+  o.overload.max_in_flight_jobs = 1;
+  o.overload.max_pending_jobs = 1;
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(8, 512);
+  auto lazy = ctx.ingest("lazy", hist(), part, "logs", {.materialize = false});
+  auto warm = ctx.ingest("warm", hist(), part, "logs");
+  std::vector<JobResult> results;
+  const auto keep = [&](const JobResult& r) { results.push_back(r); };
+  // The first job holds the one in-flight slot and dies mid-run at 50 ms;
+  // the second queues behind it and its 20 ms deadline fires while it is
+  // still queued; the third finds the pending queue full.
+  ctx.dag().submit(lazy, ActionType::kCount, {.deadline_seconds = 0.05}, keep);
+  ctx.dag().submit(lazy, ActionType::kCount, {.deadline_seconds = 0.02}, keep);
+  ctx.dag().submit(warm, ActionType::kCount, {}, keep);
+  // The fourth queues once the queue is empty again and completes after
+  // the abort frees the slot.
+  ctx.sim().after(0.03, [&] {
+    ctx.dag().submit(warm, ActionType::kCount, {}, keep);
+  });
+  ctx.sim().run();
+
+  ASSERT_EQ(results.size(), 4u);
+  EXPECT_EQ(results[0].status, JobStatus::kRejected);
+  EXPECT_EQ(results[1].status, JobStatus::kDeadlineExceeded);
+  EXPECT_EQ(results[1].num_stages, 0);  // closed while queued
+  EXPECT_EQ(results[2].status, JobStatus::kDeadlineExceeded);
+  EXPECT_GT(results[2].num_stages, 0);  // aborted mid-run
+  EXPECT_EQ(results[3].status, JobStatus::kCompleted);
+  const auto finishes =
+      ctx.tracer().sink<RingBufferSink>()->events(TraceKind::kJobFinish);
+  for (const JobResult& r : results) {
+    SCOPED_TRACE(job_status_name(r.status));
+    int spans = 0;
+    for (const TraceEvent& e : finishes) {
+      if (e.job != r.id) continue;
+      ++spans;
+      EXPECT_EQ(e.t0, r.submit_time);
+      EXPECT_EQ(e.t1, r.finish_time);
+      EXPECT_EQ((e.flags & kFlagCompleted) != 0, r.completed);
+      EXPECT_EQ(e.task_index, r.num_stages > 0 ? r.num_tasks : -1);
+    }
+    EXPECT_EQ(spans, 1);
+  }
+}
+
 }  // namespace
 }  // namespace stark::obs

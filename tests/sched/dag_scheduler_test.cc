@@ -240,7 +240,9 @@ TEST_F(DagSchedulerTest, FailureRequeuesAndCompletes) {
   // Tasks that were still running on server 0 got requeued elsewhere; only
   // tasks already finished before the failure may report server 0.
   for (const auto& t : dag_->result(id).tasks) {
-    if (t.finish_time > failed_at) EXPECT_NE(t.server, 0);
+    if (t.finish_time > failed_at) {
+      EXPECT_NE(t.server, 0);
+    }
   }
 }
 

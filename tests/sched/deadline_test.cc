@@ -135,6 +135,28 @@ TEST(Deadline, FiresWhileEveryExecutorIsQuarantined) {
   EXPECT_TRUE(ctx.count(ds).completed);
 }
 
+TEST(Deadline, AbortedBuilderReHomesTheSharedMapStage) {
+  Context ctx(opts(0.0));
+  auto part = ctx.collection_partitioner(8, 256);
+  // Lazy ingest: the first job to read the dataset builds its shuffle.
+  auto ds = ctx.ingest("d", hist(), part, "logs", {.materialize = false});
+  JobResult a;
+  JobResult b;
+  // Job a builds the shared map stage and dies at its 50 ms deadline, long
+  // before the source load ends; job b waits on that map stage, which the
+  // abort must hand over to it.
+  ctx.dag().submit(ds->filter({.selectivity = 0.5}), ActionType::kCount,
+                   {.deadline_seconds = 0.05},
+                   [&](const JobResult& r) { a = r; });
+  ctx.dag().submit(ds->filter({.selectivity = 0.25}), ActionType::kCount, {},
+                   [&](const JobResult& r) { b = r; });
+  ctx.sim().run();
+  EXPECT_EQ(a.status, JobStatus::kDeadlineExceeded);
+  EXPECT_TRUE(b.completed);
+  EXPECT_GE(ctx.dag().failure_stats().stage_resubmissions, 1);
+  EXPECT_EQ(ctx.dag().active_jobs(), 0);
+}
+
 TEST(Deadline, AbortReleasesLineageRefcounts) {
   Context ctx(opts(1.0));
   auto part = ctx.collection_partitioner(8, 256);
