@@ -21,7 +21,8 @@
 namespace stark::bench {
 
 // Streaming JSON writer shared by the machine-readable benches
-// (chaos_resilience, ablation_cache_policy, perf_regression, overload).
+// (chaos_resilience, overload, multitenant, tail_tolerance, remote_memory,
+// auto_cache, ablation_cache_policy).
 // Tracks nesting depth and comma placement so emit sites state only keys
 // and values; one member per line, two-space indent. Output is fully
 // deterministic — the bit-identity harness diffs it across runs. Values

@@ -45,10 +45,10 @@ int main() {
              bench::bar(dminus_delay, maxd), "~9 s"});
   t.print();
 
+  const bool ok = d_delay < 0.1 * dminus_delay && dminus_delay < c_delay;
   std::printf(
       "\nShape check: D << D- (cache saves the stage recompute), "
       "D- < C (shuffle write skipped): %s\n",
-      (d_delay < 0.1 * dminus_delay && dminus_delay < c_delay) ? "OK"
-                                                               : "MISMATCH");
-  return 0;
+      ok ? "OK" : "MISMATCH");
+  return ok ? 0 : 1;
 }

@@ -40,13 +40,11 @@ int main() {
     }
   }
   t.print();
+  const bool ok = best_parts > 1 && best_parts < 65536 &&
+                  rows.front().second > best && rows.back().second > best;
   std::printf(
       "\nShape check: U-curve with minimum at %d partitions (paper: minimum "
       "around 10^2-10^3, ~20s at both extremes): %s\n",
-      best_parts,
-      (best_parts > 1 && best_parts < 65536 &&
-       rows.front().second > best && rows.back().second > best)
-          ? "OK"
-          : "MISMATCH");
-  return 0;
+      best_parts, ok ? "OK" : "MISMATCH");
+  return ok ? 0 : 1;
 }

@@ -103,10 +103,10 @@ int main() {
 
   const double gain5 = spark[5].delay / stark[5].delay;
   const double gain6 = spark[6].delay / stark[6].delay;
+  const bool ok = stark[5].delay < spark[5].delay && gain6 < gain5;
   std::printf(
       "Shape check: Stark-H wins at every count, and the 6-RDD gain (%.1fx) "
       "drops below the 5-RDD gain (%.1fx) due to GC: %s\n",
-      gain6, gain5,
-      (stark[5].delay < spark[5].delay && gain6 < gain5) ? "OK" : "MISMATCH");
-  return 0;
+      gain6, gain5, ok ? "OK" : "MISMATCH");
+  return ok ? 0 : 1;
 }

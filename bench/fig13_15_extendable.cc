@@ -216,5 +216,5 @@ int main() {
       "splits (%s), Spark-R slowest overall (%s)\n",
       balanced ? "OK" : "MISMATCH", first_vs_second ? "OK" : "MISMATCH",
       spark_r_slowest ? "OK" : "MISMATCH");
-  return 0;
+  return balanced && first_vs_second && spark_r_slowest ? 0 : 1;
 }

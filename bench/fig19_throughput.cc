@@ -199,14 +199,14 @@ int main(int argc, char** argv) {
     if (name == std::string("Stark-H")) stark_h = tp;
     if (name == std::string("Stark-E")) stark_e = tp;
   }
+  const bool ok =
+      spark_r < spark_h && spark_h < stark_h && stark_e >= 0.5 * stark_h;
   std::printf(
       "\nShape check: Spark-R << Spark-H << Stark-H (paper: 9/56/220), "
       "Stark-E within ~25%% of Stark-H under static load: %s\n",
-      (spark_r < spark_h && spark_h < stark_h && stark_e >= 0.5 * stark_h)
-          ? "OK"
-          : "MISMATCH");
+      ok ? "OK" : "MISMATCH");
   std::printf("Measured throughput ratio Stark-H/Spark-H: %.1fx (paper ~4x "
               "delay, ~6x total system throughput)\n",
               spark_h > 0 ? stark_h / spark_h : 0.0);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -118,11 +118,11 @@ int main() {
 
   std::printf("\nPeaks: Spark-H %.0f ms, Stark-H %.0f ms, Stark-E %.0f ms\n",
               spark_peak * 1e3, stark_h_peak * 1e3, stark_e_peak * 1e3);
+  const bool ok = stark_h_peak < spark_peak && stark_e_peak < spark_peak;
   std::printf(
       "Shape check: Stark peaks well below Spark-H's peak (paper: Spark-H\n"
       "surpasses 800 ms at the data peak; Stark-H stays below 200 ms;\n"
       "Stark-E scales out under the heaviest load): %s\n",
-      (stark_h_peak < spark_peak && stark_e_peak < spark_peak) ? "OK"
-                                                               : "MISMATCH");
-  return 0;
+      ok ? "OK" : "MISMATCH");
+  return ok ? 0 : 1;
 }

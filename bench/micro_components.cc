@@ -1,15 +1,19 @@
 // Micro-benchmarks of Stark's component algorithms (wall-clock, via
 // google-benchmark): Dinic min-cut, GroupTree rebalance, Z-curve codec,
-// Zipf sampling, MCF offer sorting, histogram merging, LRU block store.
+// Zipf sampling, MCF offer sorting, histogram merging, LRU block store,
+// event-queue churn.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "cluster/block_manager.h"
 #include "common/key_histogram.h"
 #include "common/rng.h"
 #include "common/zipf.h"
 #include "flow/dinic.h"
+#include "sim/event_queue.h"
 #include "stark/group_tree.h"
 #include "trace/wiki.h"
 #include "trace/zcurve.h"
@@ -124,6 +128,35 @@ void BM_BlockManagerChurn(benchmark::State& state) {
   benchmark::DoNotOptimize(bm.used());
 }
 BENCHMARK(BM_BlockManagerChurn);
+
+// One pop and one push per iteration over a 10 k-event live set; every 7th
+// push also cancels a mid-age event and replaces it, like a rearmed timer.
+// A cancel that finds its event already fired still pushes the replacement,
+// so the live set creeps upward as the run goes on.
+void BM_EventQueueChurn(benchmark::State& state) {
+  constexpr int kLive = 10000;
+  sim::EventQueue q;
+  Rng rng(0xE7E7ULL);
+  std::vector<sim::EventId> recent;
+  recent.reserve(kLive);
+  for (int i = 0; i < kLive; ++i) {
+    recent.push_back(q.push(rng.next_double(), [] {}));
+  }
+  std::uint64_t pushed = kLive;
+  for (auto _ : state) {
+    const SimTime now = q.pop().time;
+    q.push(now + rng.next_double(), [] {});
+    if (++pushed % 7 == 0) {
+      const std::size_t victim = pushed % recent.size();
+      benchmark::DoNotOptimize(q.cancel(recent[victim]));
+      recent[victim] = q.push(now + rng.next_double(), [] {});
+      ++pushed;
+    }
+  }
+  benchmark::DoNotOptimize(q.size());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EventQueueChurn);
 
 }  // namespace
 

@@ -35,6 +35,9 @@
 //             threshold and above jain(off)
 //   --rate    per-tenant surge rate override (sessions/s), calibration
 //             escape hatch
+//   --pinned  a fixed fair-share run that prints only simulated counters
+//             (see run_pinned), for the golden digest in
+//             scripts/bit_identity.sh
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -252,6 +255,66 @@ void emit_mode(bench::JsonEmitter& json, const char* key, const Scale& s,
   json.end_object();
 }
 
+// Fair-share bookkeeping at a high tenant count: 24 tenants with mixed
+// weights submit 10 000 cogroup jobs round-robin against one collection,
+// so every scheduling pass scans the per-tenant ready buckets and every
+// completion rebalances the weighted shares.
+int run_pinned() {
+  constexpr int kServers = 16;
+  constexpr int kPartitions = 32;
+  constexpr int kTenants = 24;
+  constexpr int kJobs = 10000;
+  constexpr double kSpacing = 0.05;
+
+  ContextOptions o = bench::paper_cluster(ConfigKind::kStarkH, kServers);
+  o.detail_task_metrics = false;
+  o.tenants.fair_share = true;
+  for (int t = 0; t < kTenants; ++t) {
+    char name[16];
+    std::snprintf(name, sizeof(name), "t%02d", t);
+    o.tenants.tenants.push_back({name, t % 3 == 0 ? 2.0 : 1.0, 0.0, 0, 0});
+  }
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(kPartitions, 4096);
+  std::vector<DatasetPtr> inputs;
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(ctx.ingest("mt" + std::to_string(i),
+                                bench::wiki_hourly(i, 200 * kMiB), part,
+                                "mt"));
+  }
+
+  const SimTime t0 = ctx.sim().now();
+  int completed = 0;
+  int aborted = 0;
+  for (int q = 0; q < kJobs; ++q) {
+    ctx.sim().at(t0 + kSpacing * q, [&, q] {
+      auto cg = Dataset::cogroup(inputs, part, "mt.cogroup");
+      auto filtered = cg->filter({.selectivity = 0.1}, "mt.filter");
+      ctx.dag().submit(filtered, ActionType::kCount,
+                       SubmitOptions{.tenant = o.tenants.tenants[
+                           static_cast<std::size_t>(q % kTenants)].name},
+                       [&](const JobResult& res) {
+                         res.completed ? ++completed : ++aborted;
+                       });
+    });
+  }
+  ctx.sim().run();
+
+  bench::JsonEmitter json;
+  json.begin_object();
+  json.field("bench", "multitenant");
+  json.field("mode", "pinned");
+  json.field("sim_seconds", ctx.sim().now() - t0);
+  json.field("events_executed",
+             static_cast<unsigned long long>(ctx.sim().executed_events()));
+  json.field("tasks_completed", static_cast<unsigned long long>(
+                                    ctx.dag().tasks().tasks_completed()));
+  json.field("jobs_completed", completed);
+  json.field("jobs_aborted", aborted);
+  json.end_object();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -259,6 +322,7 @@ int main(int argc, char** argv) {
   double rate_override = 0.0;
   Scale s;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--pinned") == 0) return run_pinned();
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {
       rate_override = std::atof(argv[++i]);  // calibration escape hatch

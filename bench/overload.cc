@@ -25,10 +25,14 @@
 //   --smoke    down-scaled sweep (two multipliers, short window) for CI
 //   --pinned   single 2x point, both modes, tiny window — the bit-identity
 //              scenario in scripts/bit_identity.sh
+//   --backlog  a deep FIFO backlog with no protection at all; prints only
+//              simulated counters (see run_backlog), also pinned there
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "api/metrics.h"
@@ -166,12 +170,68 @@ void emit_mode(bench::JsonEmitter& json, const char* key, const ModeResult& r) {
   json.end_object();
 }
 
+// A small cluster buried under a deep FIFO of single-stage cogroup jobs:
+// submissions outpace capacity ~10x, so over a thousand task sets queue
+// while every completion fires a scheduling pass. Pins the offer loop and
+// set retirement under deep backlog.
+int run_backlog() {
+  constexpr int kStormServers = 8;
+  constexpr int kStormPartitions = 24;
+  constexpr int kJobs = 1200;
+  constexpr double kSubmitWindow = 24.0;  // ~50 jobs/s offered
+
+  ContextOptions o = bench::paper_cluster(ConfigKind::kStarkH, kStormServers);
+  o.cluster.server.cores = 4;
+  o.detail_task_metrics = false;
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(kStormPartitions, 4096);
+  std::vector<DatasetPtr> inputs;
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(ctx.ingest("storm" + std::to_string(i),
+                                bench::wiki_hourly(i, 150 * kMiB), part,
+                                "storm"));
+  }
+
+  const SimTime t0 = ctx.sim().now();
+  int completed = 0;
+  int aborted = 0;
+  std::size_t peak_sets = 0;
+  for (int q = 0; q < kJobs; ++q) {
+    ctx.sim().at(t0 + kSubmitWindow * q / kJobs, [&] {
+      auto cg = Dataset::cogroup(inputs, part, "storm.cogroup");
+      auto filtered = cg->filter({.selectivity = 0.1}, "storm.filter");
+      ctx.dag().submit(filtered, ActionType::kCount, {},
+                       [&](const JobResult& res) {
+                         res.completed ? ++completed : ++aborted;
+                       });
+      peak_sets = std::max(peak_sets, ctx.dag().tasks().pending_task_sets());
+    });
+  }
+  ctx.sim().run();
+
+  bench::JsonEmitter json;
+  json.begin_object();
+  json.field("bench", "overload");
+  json.field("mode", "backlog");
+  json.field("sim_seconds", ctx.sim().now() - t0);
+  json.field("events_executed",
+             static_cast<unsigned long long>(ctx.sim().executed_events()));
+  json.field("tasks_completed", static_cast<unsigned long long>(
+                                    ctx.dag().tasks().tasks_completed()));
+  json.field("jobs_completed", completed);
+  json.field("jobs_aborted", aborted);
+  json.field("peak_pending_sets", static_cast<unsigned long long>(peak_sets));
+  json.end_object();
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   bool pinned = false;
   for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--backlog") == 0) return run_backlog();
     if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     if (std::strcmp(argv[i], "--pinned") == 0) pinned = true;
     if (std::strcmp(argv[i], "--rate") == 0 && i + 1 < argc) {

@@ -24,23 +24,26 @@ case "${1:-}" in
   *) echo "usage: $0 [--save|--check]" >&2; exit 2 ;;
 esac
 
-# name -> command line (stdout is the artifact under test)
-declare -A SCENARIOS=(
-  [chaos]="$BUILD_DIR/bench/bench_chaos_resilience"
-  [chaos_corruption]="$BUILD_DIR/bench/bench_chaos_resilience --corruption"
-  [fig19_starkh20]="$BUILD_DIR/bench/bench_fig19_throughput --slice stark-h 20"
-  [fig19_sparkh30]="$BUILD_DIR/bench/bench_fig19_throughput --slice spark-h 30"
-  [overload]="$BUILD_DIR/bench/bench_overload --pinned"
-  [tail_tolerance]="$BUILD_DIR/bench/bench_tail_tolerance --pinned"
-  [remote_memory]="$BUILD_DIR/bench/bench_remote_memory --pinned"
-  [auto_cache]="$BUILD_DIR/bench/bench_auto_cache --pinned"
+# Scenario name, then the bench binary and its flags, in golden-file order
+# (stdout is the artifact under test).
+SCENARIOS=(
+  "chaos               bench_chaos_resilience"
+  "chaos_corruption    bench_chaos_resilience --corruption"
+  "fig19_starkh20      bench_fig19_throughput --slice stark-h 20"
+  "fig19_sparkh30      bench_fig19_throughput --slice spark-h 30"
+  "overload            bench_overload --pinned"
+  "tail_tolerance      bench_tail_tolerance --pinned"
+  "remote_memory       bench_remote_memory --pinned"
+  "auto_cache          bench_auto_cache --pinned"
+  "backlog_storm       bench_overload --backlog"
+  "chaos_soak          bench_chaos_resilience --soak"
+  "multitenant_fanout  bench_multitenant --pinned"
 )
-NAMES="chaos chaos_corruption fig19_starkh20 fig19_sparkh30 overload tail_tolerance remote_memory auto_cache"
 
-for name in $NAMES; do
-  bin=${SCENARIOS[$name]%% *}
-  if [ ! -x "$bin" ]; then
-    echo "bit_identity: missing $bin (build the bench targets first)" >&2
+for entry in "${SCENARIOS[@]}"; do
+  read -r _ bin _ <<< "$entry"
+  if [ ! -x "$BUILD_DIR/bench/$bin" ]; then
+    echo "bit_identity: missing $BUILD_DIR/bench/$bin (build the bench targets first)" >&2
     exit 2
   fi
 done
@@ -61,8 +64,11 @@ if [ "$MODE" = "save" ]; then
   toolchain > "$tmp/golden"
 fi
 
-for name in $NAMES; do
-  cmd=${SCENARIOS[$name]}
+names=()
+for entry in "${SCENARIOS[@]}"; do
+  read -r name bin args <<< "$entry"
+  names+=("$name")
+  cmd="$BUILD_DIR/bench/$bin $args"
   out="$tmp/$name.json"
   $cmd > "$out" 2>/dev/null
   digest=$(sha256sum "$out" | cut -d' ' -f1)
@@ -94,6 +100,16 @@ for name in $NAMES; do
       ;;
   esac
 done
+
+if [ "$MODE" = "check" ]; then
+  # A digest nothing produces any more is lost coverage, not a pass.
+  for pinned in $(awk '!/^#/ { print $2 }' "$GOLDEN"); do
+    if [[ " ${names[*]} " != *" $pinned "* ]]; then
+      echo "bit_identity: FAIL $GOLDEN pins $pinned, which this script no longer runs" >&2
+      fail=1
+    fi
+  done
+fi
 
 if [ "$MODE" = "save" ]; then
   mkdir -p "$(dirname "$GOLDEN")"

@@ -22,10 +22,5 @@ for e in build/examples/*; do
   "$e"
 done
 
-# Perf-regression harness: wall-clock/RSS snapshot of the engine-saturating
-# scenarios, gated against the committed baseline (see docs/PERFORMANCE.md).
-build/bench/bench_perf_regression > BENCH_PR4.json
-python3 scripts/check_perf_regression.py BENCH_PR4.json bench/BENCH_PR4.baseline.json
-
 # Determinism gate: same-seed runs must be byte-identical.
 scripts/bit_identity.sh

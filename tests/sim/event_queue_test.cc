@@ -86,7 +86,8 @@ TEST(EventQueue, StaleIdFromReusedSlotIsRejected) {
 // bounded by the peak number of *live* events, not by the total number of
 // events ever pushed. A long simulation that pushes and retires millions of
 // events (heartbeats, timers, task completions) must not accumulate a slot
-// per push.
+// per push. Along the way, every push is accounted for: it either pops once
+// or is removed by exactly one cancel that returned true.
 TEST(EventQueue, SlotCountBoundedByLiveEventsOverMillionCycles) {
   EventQueue q;
   constexpr std::size_t kLive = 1'000;        // steady-state live events
@@ -95,22 +96,51 @@ TEST(EventQueue, SlotCountBoundedByLiveEventsOverMillionCycles) {
   ids.reserve(kLive);
   double t = 0.0;
   std::size_t peak_live = 0;
-  for (std::size_t i = 0; i < kCycles; ++i) {
-    ids.push_back(q.push(t + 1.0 + static_cast<double>(i % 97), [] {}));
+  std::size_t pushes = 0;
+  std::size_t pops = 0;
+  std::size_t cancelled = 0;  // cancels that returned true
+  std::size_t rearms = 0;
+  std::size_t stale_rearms = 0;
+  const auto push = [&](std::size_t i) {
+    const EventId id = q.push(t + 1.0 + static_cast<double>(i % 97), [] {});
+    ++pushes;
     peak_live = std::max(peak_live, q.size());
+    return id;
+  };
+  for (std::size_t i = 0; i < kCycles; ++i) {
+    ids.push_back(push(i));
     if (ids.size() >= kLive) {
       // Retire half by firing, half by cancellation, so both release
       // paths (pop and cancel) feed the free list.
       if (i % 2 == 0) {
         q.pop();
+        ++pops;
         ids.erase(ids.begin());
       } else {
         EXPECT_TRUE(q.cancel(ids.back()));
+        ++cancelled;
         ids.pop_back();
+      }
+    }
+    if (i % 7 == 0) {
+      // Push back a mid-age timer. Pops take the earliest event, not the
+      // oldest id, so this one may already have fired, and its slot may
+      // hold a newer event: then the cancel must return false, and there
+      // is nothing to rearm.
+      EventId& victim = ids[i % ids.size()];
+      ++rearms;
+      if (q.cancel(victim)) {
+        ++cancelled;
+        victim = push(i);
+      } else {
+        ++stale_rearms;
       }
     }
     t += 1e-3;
   }
+  // Some rearms found their event live and some found it already fired.
+  EXPECT_GT(stale_rearms, 0u);
+  EXPECT_LT(stale_rearms, rearms);
   // O(live): allocated slots never exceed the peak live count (plus the
   // transient +1 while at peak), no matter how many events were pushed.
   EXPECT_LE(q.slots_allocated(), peak_live + 1);
@@ -124,6 +154,7 @@ TEST(EventQueue, SlotCountBoundedByLiveEventsOverMillionCycles) {
   }
   EXPECT_EQ(fired, live_at_end);
   EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(pops + fired, pushes - cancelled);
 }
 
 }  // namespace
