@@ -173,9 +173,7 @@ ModeResult run_mode(const Scale& s, bool fair) {
   ctx.sim().run(t1 + s.drain);
 
   ModeResult r;
-  double min_mean = 0.0, max_mean = 0.0;
-  double mean_sum = 0.0, mean_sq_sum = 0.0;
-  int spread_tenants = 0;
+  std::vector<double> means;  // completed tenants, in tenant order
   for (int i = 0; i < s.tenants; ++i) {
     const QueryWorkload& wl = *workloads[i];
     TenantOutcome t;
@@ -186,15 +184,7 @@ ModeResult run_mode(const Scale& s, bool fair) {
     if (wl.completed() > 0) {
       t.mean_delay = wl.delays().mean();
       t.p99_delay = wl.delays().percentile(0.99);
-      if (spread_tenants == 0 || t.mean_delay < min_mean) {
-        min_mean = t.mean_delay;
-      }
-      if (spread_tenants == 0 || t.mean_delay > max_mean) {
-        max_mean = t.mean_delay;
-      }
-      mean_sum += t.mean_delay;
-      mean_sq_sum += t.mean_delay * t.mean_delay;
-      ++spread_tenants;
+      means.push_back(t.mean_delay);
     }
     r.issued += t.issued;
     r.completed += t.completed;
@@ -202,16 +192,12 @@ ModeResult run_mode(const Scale& s, bool fair) {
     r.failed += wl.failed();
     r.tenants.push_back(std::move(t));
   }
-  if (spread_tenants >= 2 && min_mean > 0.0) r.spread = max_mean / min_mean;
-  // Jain's fairness index over per-tenant mean delays:
-  // (sum m)^2 / (n * sum m^2), 1.0 = perfectly even, 1/n = one tenant
-  // absorbs all the delay. Unlike the max/min spread this is bounded,
-  // population-weighted, and insensitive to a single outlier tenant, so
-  // it is the fairness headline the CI gate pins.
-  if (spread_tenants >= 2 && mean_sq_sum > 0.0) {
-    r.jain = (mean_sum * mean_sum) /
-             (static_cast<double>(spread_tenants) * mean_sq_sum);
-  }
+  r.spread = max_min_spread(means);
+  // Jain's fairness index over per-tenant mean delays: 1.0 = perfectly
+  // even, 1/n = one tenant absorbs all the delay. Unlike the max/min
+  // spread this is bounded, population-weighted, and insensitive to a
+  // single outlier tenant, so it is the fairness headline the CI gate pins.
+  r.jain = jain_index(means);
   r.goodput_per_s = r.within_slo / s.window;
   Distribution all;
   for (const auto& wl : workloads) {

@@ -141,9 +141,7 @@ CellResult run_cell(Arm arm, const Scale& w, Bytes ram, Bytes pool_bytes) {
   CellResult r;
   r.arm = arm;
   r.cache = ctx.dag().cache_stats();
-  if (const RemoteMemoryStats* rs = ctx.cluster().remote_stats()) {
-    r.remote = *rs;
-  }
+  r.remote = ctx.cluster().remote_stats();
   r.evictions = metrics.cache_evictions();
   r.queries_issued = wl.issued();
   r.queries_completed = wl.completed();

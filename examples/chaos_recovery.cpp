@@ -64,7 +64,6 @@ int main() {
   std::printf("Recovery estimate for the final state: %.2f s (24 steps of "
               "lineage behind it)\n\n",
               ctx.dag().estimate_recovery_delay(state.state()));
-  metrics.observe_failures(ctx.dag().failure_stats());
-  std::printf("%s", metrics.summary().c_str());
+  std::printf("%s", metrics.summary(ctx.dag()).c_str());
   return 0;
 }

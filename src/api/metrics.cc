@@ -27,55 +27,32 @@ void MetricsCollector::observe_job(const JobResult& r) {
   bytes_remote_ += r.bytes_from_remote;
   cpu_ += r.total_cpu;
   gc_ += r.total_gc;
-  TenantSummary& t = tenant_slot(r.tenant);
+  const auto [it, fresh] = tenant_index_.try_emplace(r.tenant, tenants_.size());
+  if (fresh) {
+    tenants_.emplace_back();
+    tenants_.back().tenant = r.tenant;
+    tenants_.back().tenant_id = r.tenant_id;
+  }
+  TenantSummary& t = tenants_[it->second];
   ++t.jobs;
   if (!r.completed) ++t.aborted;
   t.delays.add(r.delay);
 }
 
-MetricsCollector::TenantSummary& MetricsCollector::tenant_slot(
-    const std::string& tenant) {
-  const auto [it, fresh] = tenant_index_.try_emplace(tenant, tenants_.size());
-  if (fresh) {
-    tenants_.emplace_back();
-    tenants_.back().tenant = tenant;
-  }
-  return tenants_[it->second];
-}
-
-void MetricsCollector::observe_tenant_overload(const std::string& tenant,
-                                               const OverloadStats& stats) {
-  tenant_slot(tenant).overload = stats;
-}
-
-double MetricsCollector::tenant_delay_spread() const noexcept {
-  double lo = 0.0;
-  double hi = 0.0;
-  int seen = 0;
+std::vector<double> MetricsCollector::tenant_means() const {
+  std::vector<double> means;
   for (const TenantSummary& t : tenants_) {
-    if (t.delays.count() == 0) continue;
-    const double mean = t.delays.mean();
-    if (seen == 0 || mean < lo) lo = mean;
-    if (seen == 0 || mean > hi) hi = mean;
-    ++seen;
+    if (t.delays.count() > 0) means.push_back(t.delays.mean());
   }
-  if (seen < 2 || lo <= 0.0) return 1.0;
-  return hi / lo;
+  return means;
 }
 
-double MetricsCollector::tenant_fairness_index() const noexcept {
-  double sum = 0.0;
-  double sum_sq = 0.0;
-  int seen = 0;
-  for (const TenantSummary& t : tenants_) {
-    if (t.delays.count() == 0) continue;
-    const double mean = t.delays.mean();
-    sum += mean;
-    sum_sq += mean * mean;
-    ++seen;
-  }
-  if (seen < 2 || sum_sq <= 0.0) return 1.0;
-  return (sum * sum) / (static_cast<double>(seen) * sum_sq);
+double MetricsCollector::tenant_delay_spread() const {
+  return max_min_spread(tenant_means());
+}
+
+double MetricsCollector::tenant_fairness_index() const {
+  return jain_index(tenant_means());
 }
 
 void MetricsCollector::reset() noexcept {
@@ -92,13 +69,6 @@ void MetricsCollector::reset() noexcept {
   gc_ = 0.0;
   inserts_ = 0;
   evictions_ = 0;
-  failures_.reset();
-  overload_.reset();
-  slowness_.reset();
-  cache_.reset();
-  remote_.reset();
-  auto_cache_.reset();
-  policy_ = EvictionPolicyKind::kLru;
   tenants_.clear();
   tenant_index_.clear();
 }
@@ -130,7 +100,13 @@ double MetricsCollector::cluster_utilization(const Cluster& cluster,
   return capacity > 0.0 ? busy / capacity : 0.0;
 }
 
-std::string MetricsCollector::summary() const {
+std::string MetricsCollector::summary(const DagScheduler& dag) const {
+  const CacheStats& cache = dag.cache_stats();
+  const RemoteMemoryStats& remote = dag.cluster().remote_stats();
+  const FailureStats& failures = dag.failure_stats();
+  const OverloadStats overload = dag.overload_stats();
+  const SlownessStats& slowness = dag.slowness_stats();
+  const AutoCacheStats& auto_cache = dag.auto_cache_stats();
   char buf[4096];
   std::snprintf(
       buf, sizeof(buf),
@@ -161,33 +137,34 @@ std::string MetricsCollector::summary() const {
       format_bytes(bytes_disk_).c_str(), format_bytes(bytes_remote_).c_str(),
       cache_hit_ratio() * 100.0, cpu_,
       gc_, gc_fraction() * 100.0, inserts_, evictions_,
-      eviction_policy(), cache_.hits, cache_.misses, cache_.recomputes,
-      format_bytes(cache_.bytes_recomputed).c_str(), recomputes_avoided(),
-      cache_.remote_hits, cache_.fault_backs, remote_.demotions_in,
-      format_bytes(remote_.bytes_demoted_in).c_str(),
-      remote_.evictions_to_disk, remote_.dropped_dead_origin,
-      failures_.task_failures, failures_.task_retries,
-      failures_.fetch_failures, failures_.heartbeat_detections,
-      format_seconds(failures_.mean_detection_latency()).c_str(),
-      failures_.stage_resubmissions, failures_.executor_exclusions,
-      failures_.executor_readmissions, failures_.corruptions_injected,
-      failures_.corruptions_detected, failures_.corruptions_repaired,
-      failures_.corrupt_reads_undetected,
-      format_bytes(failures_.bytes_reverified).c_str(),
-      overload_.jobs_admitted, overload_.jobs_queued, overload_.jobs_rejected,
-      overload_.jobs_shed, overload_.deadline_exceeded,
-      overload_.pressure_transitions, overload_.red_entries,
-      slowness_.suspect_peers, slowness_.degraded_peers,
-      slowness_.recoveries, slowness_.hedges_issued, slowness_.hedges_won,
-      slowness_.hedges_budget_denied,
-      format_bytes(slowness_.hedge_bytes_issued).c_str(),
-      format_bytes(slowness_.hedge_bytes_wasted).c_str(),
-      slowness_.timeout_adaptations, slowness_.placement_probes,
-      auto_cache_.auto_caches,
-      format_bytes(auto_cache_.bytes_promoted).c_str(),
-      auto_cache_.auto_frees, format_bytes(auto_cache_.bytes_freed).c_str(),
-      auto_cache_.frees_deferred, auto_cache_.frees_protected,
-      auto_cache_.reads_sampled);
+      eviction_policy_name(dag.cluster().config().cache.policy), cache.hits,
+      cache.misses, cache.recomputes,
+      format_bytes(cache.bytes_recomputed).c_str(), cache.hits,
+      cache.remote_hits, cache.fault_backs, remote.demotions_in,
+      format_bytes(remote.bytes_demoted_in).c_str(),
+      remote.evictions_to_disk, remote.dropped_dead_origin,
+      failures.task_failures, failures.task_retries,
+      failures.fetch_failures, failures.heartbeat_detections,
+      format_seconds(failures.mean_detection_latency()).c_str(),
+      failures.stage_resubmissions, failures.executor_exclusions,
+      failures.executor_readmissions, failures.corruptions_injected,
+      failures.corruptions_detected, failures.corruptions_repaired,
+      failures.corrupt_reads_undetected,
+      format_bytes(failures.bytes_reverified).c_str(),
+      overload.jobs_admitted, overload.jobs_queued, overload.jobs_rejected,
+      overload.jobs_shed, overload.deadline_exceeded,
+      overload.pressure_transitions, overload.red_entries,
+      slowness.suspect_peers, slowness.degraded_peers,
+      slowness.recoveries, slowness.hedges_issued, slowness.hedges_won,
+      slowness.hedges_budget_denied,
+      format_bytes(slowness.hedge_bytes_issued).c_str(),
+      format_bytes(slowness.hedge_bytes_wasted).c_str(),
+      slowness.timeout_adaptations, slowness.placement_probes,
+      auto_cache.auto_caches,
+      format_bytes(auto_cache.bytes_promoted).c_str(),
+      auto_cache.auto_frees, format_bytes(auto_cache.bytes_freed).c_str(),
+      auto_cache.frees_deferred, auto_cache.frees_protected,
+      auto_cache.reads_sampled);
   std::string out = buf;
   // Per-tenant appendix: only worth the lines in a genuinely multi-tenant
   // run (the single-tenant table above already tells the whole story).
@@ -198,7 +175,12 @@ std::string MetricsCollector::summary() const {
                   tenants_.size(), tenant_delay_spread(),
                   tenant_fairness_index());
     out += line;
+    const std::vector<OverloadStats>& tenant_overload =
+        dag.tenant_overload_stats();
     for (const TenantSummary& t : tenants_) {
+      const auto id = static_cast<std::size_t>(t.tenant_id);
+      const OverloadStats ov =
+          id < tenant_overload.size() ? tenant_overload[id] : OverloadStats{};
       std::snprintf(
           line, sizeof(line),
           "  tenant %-12s jobs %d (%d aborted)  delay mean %s  p99 %s  "
@@ -207,8 +189,7 @@ std::string MetricsCollector::summary() const {
           t.aborted, format_seconds(t.delays.mean()).c_str(),
           format_seconds(t.delays.count() ? t.delays.percentile(0.99) : 0.0)
               .c_str(),
-          t.overload.jobs_shed, t.overload.jobs_rejected,
-          t.overload.deadline_exceeded);
+          ov.jobs_shed, ov.jobs_rejected, ov.deadline_exceeded);
       out += line;
     }
   }

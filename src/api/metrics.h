@@ -1,9 +1,14 @@
-// MetricsCollector: cluster- and job-level counters for experiments.
+// MetricsCollector: job-level aggregates for experiments, and a summary
+// table over the engine's live counters.
 //
-// Subscribes to job completions and cache events and aggregates the numbers
-// every bench/report wants: job delay distribution, cache hit volume,
-// network/disk traffic, GC time, evictions, locality rate. One collector
-// can watch a whole run and print a summary table.
+// The collector aggregates only what it alone sees: the JobResults fed to
+// observe_job (job delay distribution, input volume by source, CPU/GC
+// time, locality rate, per-tenant rollups) and the RAM block inserts and
+// removals it observes on the cluster. Every other counter lives in one
+// place in the engine: DagScheduler::failure_stats(), cache_stats(),
+// overload_stats(), tenant_overload_stats(), slowness_stats(),
+// auto_cache_stats() and Cluster::remote_stats(). summary(dag) reads them
+// when it is called.
 #pragma once
 
 #include <string>
@@ -25,20 +30,15 @@ class MetricsCollector {
   void observe_job(const JobResult& r);
 
   // Per-tenant rollup, keyed by JobResult::tenant (the empty string is the
-  // default tenant). Tenants appear in first-observed order.
+  // default tenant). Tenants appear in first-observed order. `tenant_id`
+  // indexes DagScheduler::tenant_overload_stats().
   struct TenantSummary {
     std::string tenant;
+    TenantId tenant_id = 0;
     int jobs = 0;
     int aborted = 0;
     Distribution delays;
-    OverloadStats overload;  // filled by observe_tenant_overload
   };
-
-  // Attach a per-tenant overload snapshot (from
-  // DagScheduler::tenant_overload_stats() + tenants().name()). Creates the
-  // tenant's summary slot if it never completed a job.
-  void observe_tenant_overload(const std::string& tenant,
-                               const OverloadStats& stats);
 
   const std::vector<TenantSummary>& per_tenant() const noexcept {
     return tenants_;
@@ -46,39 +46,17 @@ class MetricsCollector {
   // Fairness spread: max/min of per-tenant *mean* job delays across tenants
   // with at least one observed job. 1.0 when fewer than two such tenants
   // (or a zero min). Lower is fairer; the fair-share scheduler's headline.
-  double tenant_delay_spread() const noexcept;
+  double tenant_delay_spread() const;
 
   // Jain's fairness index over the same per-tenant mean delays:
   // (sum m)^2 / (n * sum m^2), in (0, 1] with 1 = perfectly even. Unlike
   // the max/min spread it degrades gracefully when one tenant's mean sits
   // near zero at the saturation knee, so CI gates on this one.
-  double tenant_fairness_index() const noexcept;
-
-  // Snapshot the failure-machinery counters (typically
-  // DagScheduler::failure_stats(), taken at the end of a run).
-  void observe_failures(const FailureStats& stats) { failures_ = stats; }
-
-  // Snapshot the overload-protection counters
-  // (DagScheduler::overload_stats(), taken at the end of a run).
-  void observe_overload(const OverloadStats& stats) { overload_ = stats; }
-
-  // Snapshot the cache-probe counters (DagScheduler::cache_stats()) plus the
-  // eviction policy they were collected under, for policy-attributed
-  // reporting in summary() and the cache ablation bench.
-  void observe_cache(const CacheStats& stats, EvictionPolicyKind policy) {
-    cache_ = stats;
-    policy_ = policy;
-  }
-
-  // Snapshot the remote-memory tier counters (Cluster::remote_stats(),
-  // taken at the end of a run). A no-op pointer (tier disabled) leaves the
-  // zeroed defaults in place.
-  void observe_remote(const RemoteMemoryStats* stats) {
-    if (stats != nullptr) remote_ = *stats;
-  }
+  double tenant_fairness_index() const;
 
   // Aggregates.
   int jobs() const noexcept { return jobs_; }
+  int aborted_jobs() const noexcept { return aborted_jobs_; }
   int tasks() const noexcept { return tasks_; }
   const Distribution& job_delays() const noexcept { return delays_; }
   double node_local_fraction() const noexcept;
@@ -92,148 +70,17 @@ class MetricsCollector {
   long long cache_insertions() const noexcept { return inserts_; }
   long long cache_evictions() const noexcept { return evictions_; }
 
-  // Cache-policy effectiveness (from the last observe_cache snapshot).
-  // `recomputes_avoided` is the hit count: every hit is a lineage recompute
-  // the policy's retention decisions made unnecessary.
-  const char* eviction_policy() const noexcept {
-    return eviction_policy_name(policy_);
-  }
-  long long cache_probe_hits() const noexcept { return cache_.hits; }
-  long long cache_probe_misses() const noexcept { return cache_.misses; }
-  long long recomputes_avoided() const noexcept { return cache_.hits; }
-  long long cache_recomputes() const noexcept { return cache_.recomputes; }
-  Bytes bytes_recomputed() const noexcept { return cache_.bytes_recomputed; }
-
-  // Remote-memory tier (scheduler-side probes from the last observe_cache
-  // snapshot, pool-side counters from the last observe_remote snapshot).
-  long long remote_hits() const noexcept { return cache_.remote_hits; }
-  long long fault_backs() const noexcept { return cache_.fault_backs; }
-  long long remote_demotions() const noexcept { return remote_.demotions_in; }
-  Bytes bytes_demoted() const noexcept { return remote_.bytes_demoted_in; }
-  long long remote_evictions_to_disk() const noexcept {
-    return remote_.evictions_to_disk;
-  }
-  long long remote_dropped_dead_origin() const noexcept {
-    return remote_.dropped_dead_origin;
-  }
-
-  // Failure machinery (from the last observe_failures snapshot).
-  int aborted_jobs() const noexcept { return aborted_jobs_; }
-  int heartbeat_detections() const noexcept {
-    return failures_.heartbeat_detections;
-  }
-  double mean_detection_latency() const noexcept {
-    return failures_.mean_detection_latency();
-  }
-  int task_failures() const noexcept { return failures_.task_failures; }
-  int task_retries() const noexcept { return failures_.task_retries; }
-  int fetch_failures() const noexcept { return failures_.fetch_failures; }
-  int stage_resubmissions() const noexcept {
-    return failures_.stage_resubmissions;
-  }
-  int executor_exclusions() const noexcept {
-    return failures_.executor_exclusions;
-  }
-  int executor_readmissions() const noexcept {
-    return failures_.executor_readmissions;
-  }
-
-  // Silent-data-corruption fault domain (see docs/FAULT_MODEL.md).
-  int corruptions_injected() const noexcept {
-    return failures_.corruptions_injected;
-  }
-  int corruptions_detected() const noexcept {
-    return failures_.corruptions_detected;
-  }
-  int corruptions_repaired() const noexcept {
-    return failures_.corruptions_repaired;
-  }
-  long long corrupt_reads_undetected() const noexcept {
-    return failures_.corrupt_reads_undetected;
-  }
-  Bytes bytes_reverified() const noexcept {
-    return failures_.bytes_reverified;
-  }
-
-  // Snapshot the fail-slow counters (DagScheduler::slowness_stats(), taken
-  // at the end of a run).
-  void observe_slowness(const SlownessStats& stats) { slowness_ = stats; }
-
-  // Snapshot the cache-advisor counters (DagScheduler::auto_cache_stats(),
-  // taken at the end of a run). All-zero when the advisor is disabled.
-  void observe_auto_cache(const AutoCacheStats& stats) { auto_cache_ = stats; }
-
-  // Automatic cache management (from the last observe_auto_cache snapshot;
-  // see sched/cache_advisor.h and docs/CACHING.md).
-  long long auto_caches() const noexcept { return auto_cache_.auto_caches; }
-  long long auto_frees() const noexcept { return auto_cache_.auto_frees; }
-  long long auto_frees_deferred() const noexcept {
-    return auto_cache_.frees_deferred;
-  }
-  long long auto_frees_protected() const noexcept {
-    return auto_cache_.frees_protected;
-  }
-  long long advisor_reads_sampled() const noexcept {
-    return auto_cache_.reads_sampled;
-  }
-  Bytes bytes_auto_promoted() const noexcept {
-    return auto_cache_.bytes_promoted;
-  }
-  Bytes bytes_auto_freed() const noexcept { return auto_cache_.bytes_freed; }
-  // All-dataset recompute accounting (cached or not, sources excluded) —
-  // the advisor ablation's cross-arm comparable: manual arms recompute
-  // uncached intermediates that `cache_recomputes` never counts.
-  long long recomputes_all() const noexcept { return cache_.recomputes_all; }
-  Bytes bytes_recomputed_all() const noexcept {
-    return cache_.bytes_recomputed_all;
-  }
-
-  // Fail-slow fault domain (from the last observe_slowness snapshot; see
-  // cluster/slowness.h and docs/FAULT_MODEL.md).
-  long long slowness_observations() const noexcept {
-    return slowness_.observations;
-  }
-  int suspect_peers() const noexcept { return slowness_.suspect_peers; }
-  int degraded_peers() const noexcept { return slowness_.degraded_peers; }
-  int slowness_recoveries() const noexcept { return slowness_.recoveries; }
-  int placement_probes() const noexcept { return slowness_.placement_probes; }
-  long long timeout_adaptations() const noexcept {
-    return slowness_.timeout_adaptations;
-  }
-  long long hedges_issued() const noexcept { return slowness_.hedges_issued; }
-  long long hedges_won() const noexcept { return slowness_.hedges_won; }
-  long long hedges_budget_denied() const noexcept {
-    return slowness_.hedges_budget_denied;
-  }
-  Bytes hedge_bytes_issued() const noexcept {
-    return slowness_.hedge_bytes_issued;
-  }
-  Bytes hedge_bytes_wasted() const noexcept {
-    return slowness_.hedge_bytes_wasted;
-  }
-  double hedge_seconds_saved() const noexcept {
-    return slowness_.hedge_seconds_saved;
-  }
-
-  // Overload protection (from the last observe_overload snapshot; see
-  // sched/admission.h and docs/FAULT_MODEL.md).
-  int jobs_admitted() const noexcept { return overload_.jobs_admitted; }
-  int jobs_queued() const noexcept { return overload_.jobs_queued; }
-  int jobs_rejected() const noexcept { return overload_.jobs_rejected; }
-  int jobs_shed() const noexcept { return overload_.jobs_shed; }
-  int deadline_exceeded() const noexcept { return overload_.deadline_exceeded; }
-  int pressure_transitions() const noexcept {
-    return overload_.pressure_transitions;
-  }
-  int red_entries() const noexcept { return overload_.red_entries; }
-
-  // Zeroes every aggregate, including the failure snapshot.
+  // Zeroes every aggregate this collector keeps. The engine's counters
+  // are not the collector's to clear.
   void reset() noexcept;
 
   // Fraction of task input served from local RAM.
   double cache_hit_ratio() const noexcept;
 
-  std::string summary() const;
+  // The summary table: this collector's aggregates, then one line per
+  // engine counter struct, read from `dag` (and its cluster's remote tier
+  // and cache policy) at the time of the call.
+  std::string summary(const DagScheduler& dag) const;
 
   // Mean fraction of core time spent executing tasks across alive servers,
   // over [0, now]. Requires the cluster and the current simulated time.
@@ -253,17 +100,11 @@ class MetricsCollector {
   double gc_ = 0.0;
   long long inserts_ = 0;
   long long evictions_ = 0;
-  FailureStats failures_;
-  OverloadStats overload_;
-  SlownessStats slowness_;
-  CacheStats cache_;
-  RemoteMemoryStats remote_;
-  AutoCacheStats auto_cache_;
-  EvictionPolicyKind policy_ = EvictionPolicyKind::kLru;
   // Per-tenant rollups in first-observed order + name -> index.
   std::vector<TenantSummary> tenants_;
   std::unordered_map<std::string, std::size_t> tenant_index_;
-  TenantSummary& tenant_slot(const std::string& tenant);
+  // Mean delay of each tenant with an observed job, in rollup order.
+  std::vector<double> tenant_means() const;
 };
 
 }  // namespace stark

@@ -91,13 +91,14 @@ class Cluster {
   std::vector<BlockId> spilled_blocks(ServerId s) const;
 
   // --- remote-memory tier (cluster/remote_memory.h) ----------------------
-  // Safe when the tier is disabled: 0 bytes, no blocks, null stats.
+  // Safe when the tier is disabled: 0 bytes, no blocks, zero stats.
   bool remote_memory_enabled() const noexcept { return remote_ != nullptr; }
   Bytes remote_used_bytes() const noexcept;
   // Pool contents sorted by (dataset, partition).
   std::vector<BlockId> remote_blocks() const;
-  const RemoteMemoryStats* remote_stats() const noexcept {
-    return remote_ ? &remote_->stats() : nullptr;
+  const RemoteMemoryStats& remote_stats() const noexcept {
+    static const RemoteMemoryStats kEmpty{};
+    return remote_ ? remote_->stats() : kEmpty;
   }
 
   // --- tier-indexed block copies ------------------------------------------

@@ -59,8 +59,7 @@ struct RemoteMemoryOptions {
   void validate() const;
 };
 
-// Lifetime counters for the tier; reachable via Cluster::remote_stats()
-// and surfaced through MetricsCollector.
+// Lifetime counters for the tier; reachable via Cluster::remote_stats().
 struct RemoteMemoryStats {
   long long demotions_in = 0;        // RAM -> pool demotions stored
   Bytes bytes_demoted_in = 0.0;
@@ -68,8 +67,6 @@ struct RemoteMemoryStats {
   Bytes bytes_evicted_to_disk = 0.0;
   long long dropped_dead_origin = 0;  // pool victims whose origin is dead
   long long rejected_no_room = 0;     // demotions the pool could not admit
-
-  void reset() noexcept { *this = RemoteMemoryStats{}; }
 };
 
 // The pool itself. Owned by Cluster (constructed only when enabled);

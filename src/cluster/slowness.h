@@ -90,9 +90,9 @@ struct SlownessOptions {
   double probe_interval = 10.0;
 };
 
-// Fail-slow counters surfaced via DagScheduler::slowness_stats() and
-// MetricsCollector. The tracker maintains the scorecard counters; the
-// DagScheduler adds the hedge outcomes as it plans fetches.
+// Fail-slow counters surfaced via DagScheduler::slowness_stats(). The
+// tracker maintains the scorecard counters; the DagScheduler adds the hedge
+// outcomes as it plans fetches.
 struct SlownessStats {
   long long observations = 0;       // ratio samples fed to scorecards
   int suspect_entries = 0;          // cumulative transitions into Suspect
@@ -109,8 +109,6 @@ struct SlownessStats {
   Bytes hedge_bytes_issued = 0.0;   // duplicated fetch traffic
   Bytes hedge_bytes_wasted = 0.0;   // loser's bytes (cancelled side)
   double hedge_seconds_saved = 0.0;  // fetch-phase time removed by wins
-
-  void reset() noexcept { *this = SlownessStats{}; }
 };
 
 class SlownessTracker {

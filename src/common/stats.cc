@@ -99,6 +99,28 @@ std::vector<TimeSeries::Bucket> TimeSeries::bucketize(double t0, double t1,
   return out;
 }
 
+double max_min_spread(const std::vector<double>& means) noexcept {
+  if (means.size() < 2) return 1.0;
+  double lo = means.front();
+  double hi = means.front();
+  for (double m : means) {
+    if (m < lo) lo = m;
+    if (m > hi) hi = m;
+  }
+  return lo > 0.0 ? hi / lo : 1.0;
+}
+
+double jain_index(const std::vector<double>& means) noexcept {
+  double sum = 0.0;
+  double sum_sq = 0.0;
+  for (double m : means) {
+    sum += m;
+    sum_sq += m * m;
+  }
+  if (means.size() < 2 || sum_sq <= 0.0) return 1.0;
+  return (sum * sum) / (static_cast<double>(means.size()) * sum_sq);
+}
+
 std::string format_bytes(double bytes) {
   static const char* kUnits[] = {"B", "KiB", "MiB", "GiB", "TiB"};
   int u = 0;

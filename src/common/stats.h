@@ -74,6 +74,14 @@ class TimeSeries {
   std::vector<std::pair<double, double>> points_;
 };
 
+// Fairness over per-group means (e.g. per-tenant mean job delays), one
+// entry per group with observations, summed in the caller's order.
+// max/min of the means; 1.0 with fewer than two means or a min <= 0.
+double max_min_spread(const std::vector<double>& means) noexcept;
+// Jain's index (sum m)^2 / (n * sum m^2), in (1/n, 1] with 1 = perfectly
+// even; 1.0 with fewer than two means or a zero sum of squares.
+double jain_index(const std::vector<double>& means) noexcept;
+
 // Human-readable byte / duration formatting for bench output.
 std::string format_bytes(double bytes);
 std::string format_seconds(double seconds);

@@ -73,8 +73,9 @@ struct OverloadOptions {
   MemoryPressureOptions pressure;
 };
 
-// Per-run overload counters, surfaced via DagScheduler::overload_stats()
-// and MetricsCollector::observe_overload().
+// Per-run overload counters. The DagScheduler counts the five job counters
+// per tenant (tenant_overload_stats()) and the two pressure counters once,
+// globally; overload_stats() returns the sum over tenants plus those two.
 struct OverloadStats {
   int jobs_admitted = 0;       // dispatched immediately on arrival
   int jobs_queued = 0;         // parked in a pending queue at least once
@@ -83,7 +84,6 @@ struct OverloadStats {
   int deadline_exceeded = 0;   // jobs cancelled by their deadline
   int pressure_transitions = 0;  // band changes observed by the scheduler
   int red_entries = 0;           // transitions into Red
-  void reset() noexcept { *this = OverloadStats{}; }
 };
 
 // What admission state is keyed by: a (tenant, lane) pair. Each key owns

@@ -102,7 +102,6 @@ struct AutoCacheStats {
   long long reads_sampled = 0;     // cache reads folded into the sampler
   Bytes bytes_promoted = 0.0;      // estimated footprint of promotions
   Bytes bytes_freed = 0.0;         // stored bytes dropped across all tiers
-  void reset() noexcept { *this = AutoCacheStats{}; }
 };
 
 class CacheAdvisor {

@@ -29,9 +29,9 @@ DagScheduler::DagScheduler(sim::Simulation& sim, Cluster& cluster,
             return o;
           }(),
           [this](DatasetId id) { return groups_->ns_of_dataset(id); }),
+      stats_(task_scheduler_.failure_stats()),
       admission_(options.overload),
       tenants_(options.tenants) {
-  task_scheduler_.set_failure_stats(&stats_);
   if (options_.faults.slowness.enabled) {
     // Fail-slow scorecards: one tracker shared with the TaskScheduler
     // (placement deprioritization, adaptive fetch timeouts, observation
@@ -137,18 +137,15 @@ JobId DagScheduler::submit(DatasetPtr final, ActionType action,
   emit_admission_verdict(ref, d.verdict);
   switch (d.verdict) {
     case AdmissionVerdict::kAdmit:
-      ++overload_stats_.jobs_admitted;
       ++tenant_stats(ref.tenant).jobs_admitted;
       ref.dispatched = true;
       start_job(ref);
       break;
     case AdmissionVerdict::kQueue:
-      ++overload_stats_.jobs_queued;
       ++tenant_stats(ref.tenant).jobs_queued;
       ref.queued = true;
       break;
     case AdmissionVerdict::kReject:
-      ++overload_stats_.jobs_rejected;
       ++tenant_stats(ref.tenant).jobs_rejected;
       close_undispatched(ref, JobStatus::kRejected,
                          "rejected at admission (pending queue full)");
@@ -157,12 +154,10 @@ JobId DagScheduler::submit(DatasetPtr final, ActionType action,
       // The arrival took the queue slot of the lane's lowest-priority
       // oldest pending job; close the victim (its callback fires now,
       // with kShed).
-      ++overload_stats_.jobs_queued;
       ++tenant_stats(ref.tenant).jobs_queued;
       ref.queued = true;
       const auto vit = jobs_.find(d.shed);
       if (vit != jobs_.end()) {
-        ++overload_stats_.jobs_shed;
         ++tenant_stats(vit->second->tenant).jobs_shed;
         close_undispatched(*vit->second, JobStatus::kShed,
                            "shed from pending queue (shed-oldest)");
@@ -280,7 +275,6 @@ void DagScheduler::on_deadline(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || it->second->done) return;
   Job& job = *it->second;
-  ++overload_stats_.deadline_exceeded;
   ++tenant_stats(job.tenant).deadline_exceeded;
   if (obs::Tracer::active(tracer_)) {
     obs::TraceEvent e;
@@ -308,8 +302,8 @@ PressureBand DagScheduler::sample_pressure() {
   if (!pressure_fn_) return last_band_;  // permanently Green when unwired
   const PressureBand band = pressure_fn_();
   if (band != last_band_) {
-    ++overload_stats_.pressure_transitions;
-    if (band == PressureBand::kRed) ++overload_stats_.red_entries;
+    ++pressure_transitions_;
+    if (band == PressureBand::kRed) ++red_entries_;
     if (obs::Tracer::active(tracer_)) {
       obs::TraceEvent e;
       e.kind = obs::TraceKind::kPressureBand;
@@ -371,6 +365,20 @@ OverloadStats& DagScheduler::tenant_stats(TenantId tenant) {
   const auto idx = static_cast<std::size_t>(tenant < 0 ? 0 : tenant);
   if (tenant_overload_.size() <= idx) tenant_overload_.resize(idx + 1);
   return tenant_overload_[idx];
+}
+
+OverloadStats DagScheduler::overload_stats() const noexcept {
+  OverloadStats sum;
+  for (const OverloadStats& t : tenant_overload_) {
+    sum.jobs_admitted += t.jobs_admitted;
+    sum.jobs_queued += t.jobs_queued;
+    sum.jobs_rejected += t.jobs_rejected;
+    sum.jobs_shed += t.jobs_shed;
+    sum.deadline_exceeded += t.deadline_exceeded;
+  }
+  sum.pressure_transitions = pressure_transitions_;
+  sum.red_entries = red_entries_;
+  return sum;
 }
 
 DagScheduler::StageRun* DagScheduler::build_stage(

@@ -101,7 +101,6 @@ struct CacheStats {
   // can remove. Source reads are loads, not recomputes, and are excluded.
   long long recomputes_all = 0;
   Bytes bytes_recomputed_all = 0.0;
-  void reset() noexcept { *this = CacheStats{}; }
 };
 
 class DagScheduler {
@@ -158,20 +157,18 @@ class DagScheduler {
   // and invalidates the shuffle map outputs it hosted.
   void on_executor_lost(ServerId s, double detection_latency);
 
-  // Cumulative failure-machinery counters (feed MetricsCollector).
+  // Cumulative failure-machinery counters, held by the TaskScheduler (it
+  // counts the task-side events, this class the driver-side ones).
   const FailureStats& failure_stats() const noexcept { return stats_; }
-  void reset_failure_stats() noexcept { stats_.reset(); }
 
-  // Cumulative cache-probe counters (feed MetricsCollector and the
-  // cache-policy ablation bench).
+  // Cumulative cache-probe counters (read by MetricsCollector::summary and
+  // the cache-policy ablation bench).
   const CacheStats& cache_stats() const noexcept { return cache_stats_; }
 
   // --- overload protection --------------------------------------------------
-  // Cumulative admission/deadline/pressure counters (feed MetricsCollector
-  // and bench_overload).
-  const OverloadStats& overload_stats() const noexcept {
-    return overload_stats_;
-  }
+  // Cumulative admission/deadline/pressure counters: the per-tenant job
+  // counters summed in TenantId order, plus the global pressure counters.
+  OverloadStats overload_stats() const noexcept;
   // Memory-pressure source, polled on every submit and job completion.
   // Null (the default) reads as permanently Green. api::Context wires it
   // to a MemoryPressureMonitor when overload.pressure.enabled.
@@ -187,8 +184,8 @@ class DagScheduler {
   // Name <-> id mapping and per-tenant options (configured + auto-registered).
   const TenantRegistry& tenants() const noexcept { return tenants_; }
   // Per-tenant overload counters, indexed by TenantId (entries appear as
-  // tenants submit; index 0 is the default tenant). The global
-  // overload_stats() remains the sum over tenants.
+  // tenants submit; index 0 is the default tenant). These slots are the
+  // only home of the five job counters; their pressure fields stay zero.
   const std::vector<OverloadStats>& tenant_overload_stats() const noexcept {
     return tenant_overload_;
   }
@@ -255,6 +252,7 @@ class DagScheduler {
   TaskScheduler& tasks() noexcept { return task_scheduler_; }
   sim::Simulation& sim() noexcept { return *sim_; }
   Cluster& cluster() noexcept { return *cluster_; }
+  const Cluster& cluster() const noexcept { return *cluster_; }
   const CostModel& cost_model() const noexcept { return cost_; }
 
   // Structured tracing (stage submit/complete/resubmit, job lifecycle,
@@ -455,7 +453,8 @@ class DagScheduler {
   // Detected-corrupt blocks awaiting a clean rewrite; a later insert counts
   // as corruptions_repaired.
   std::unordered_set<BlockId, BlockIdHash> pending_block_repair_;
-  FailureStats stats_;
+  // The TaskScheduler's counters, written here for driver-side events.
+  FailureStats& stats_;
   CacheStats cache_stats_;
   // Fail-slow scorecards; constructed only when faults.slowness.enabled
   // (the tracker also feeds the TaskScheduler's placement and timeouts).
@@ -477,10 +476,11 @@ class DagScheduler {
   std::vector<ServerId> hedge_hosts_scratch_;  // distinct source hosts
   // Overload protection (all inert while DagOptions::overload defaults).
   AdmissionController admission_;
-  OverloadStats overload_stats_;
   TenantRegistry tenants_;
   // Per-tenant overload counters; grown lazily by tenant_stats().
   std::vector<OverloadStats> tenant_overload_;
+  int pressure_transitions_ = 0;
+  int red_entries_ = 0;
   std::function<PressureBand()> pressure_fn_;
   PressureBand last_band_ = PressureBand::kGreen;
   std::unordered_map<JobId, sim::EventId> deadline_events_;

@@ -71,7 +71,8 @@ struct FaultOptions {
   SlownessOptions slowness;
 };
 
-// Cluster-wide failure machinery counters, surfaced via MetricsCollector.
+// Cluster-wide failure machinery counters. The TaskScheduler owns them;
+// read them via DagScheduler::failure_stats().
 struct FailureStats {
   int heartbeat_detections = 0;      // executor losses declared by timeout
   double detection_latency_sum = 0;  // actual death -> driver declaration
@@ -97,7 +98,6 @@ struct FailureStats {
                ? detection_latency_sum / heartbeat_detections
                : 0.0;
   }
-  void reset() noexcept { *this = FailureStats{}; }
 };
 
 struct TaskSpec {

@@ -187,7 +187,7 @@ void TaskScheduler::expire_exclusions() {
     if (sim_->now() + 1e-12 >= it->second) {
       // Timed exclusion over: the executor rejoins with a clean slate.
       app_failures_.erase(it->first);
-      if (stats_) ++stats_->executor_readmissions;
+      ++stats_.executor_readmissions;
       app_excluded_mask_[static_cast<std::size_t>(it->first)] = 0;
       it = app_excluded_until_.erase(it);
     } else {
@@ -822,8 +822,7 @@ void TaskScheduler::charge_app_failure(ServerId server) {
       app_excluded_mask_.resize(static_cast<std::size_t>(cluster_->size()), 0);
     }
     app_excluded_mask_[static_cast<std::size_t>(server)] = 1;
-    ++app_exclusions_;
-    if (stats_) ++stats_->executor_exclusions;
+    ++stats_.executor_exclusions;
     arm_timer(app_excluded_until_[server]);
     STARK_LOG_DEBUG("excluded executor %d until %.3f", server,
                     app_excluded_until_[server]);
@@ -862,7 +861,7 @@ void TaskScheduler::requeue_with_backoff(const std::shared_ptr<ActiveSet>& set,
       std::min(options_.faults.retry_backoff *
                    std::pow(2.0, std::max(0, attempts - 1)),
                options_.faults.retry_backoff_max);
-  if (stats_) ++stats_->task_retries;
+  ++stats_.task_retries;
   emit_retry(*set, index);
   ++set->backoff_pending;
   sim_->after(delay, [this, set, index] {
@@ -920,7 +919,7 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
     schedule();
     return;
   }
-  if (stats_) ++stats_->task_failures;
+  ++stats_.task_failures;
   // Fetch failures count against the *stage* (resubmission attempts), not
   // the task's own retry budget — mirroring Spark's TaskSetManager.
   if (kind != TaskFailureKind::kFetchFailed) {
@@ -1025,7 +1024,7 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
     set->task_speculated[static_cast<std::size_t>(run.index)] = 0;
     set->pending.push_back(run.index);
     mark_ready(set);
-    if (stats_) ++stats_->task_retries;
+    ++stats_.task_retries;
     emit_retry(*set, run.index);
   } else {
     requeue_with_backoff(set, run.index);

@@ -266,8 +266,11 @@ class TaskScheduler {
   void set_flaky_task_probability(double p) { flaky_probability_ = p; }
   double flaky_task_probability() const noexcept { return flaky_probability_; }
 
-  // Failure counters shared with the DagScheduler (optional).
-  void set_failure_stats(FailureStats* stats) { stats_ = stats; }
+  // Cluster-wide failure counters. The TaskScheduler owns them and counts
+  // task failures, retries, exclusions and readmissions; the DagScheduler
+  // writes the driver-side counters through the mutable reference.
+  const FailureStats& failure_stats() const noexcept { return stats_; }
+  FailureStats& failure_stats() noexcept { return stats_; }
 
   // Fail-slow scorecards (optional; owned by the DagScheduler and set only
   // when FaultOptions::slowness.enabled). With a tracker wired: completed
@@ -320,7 +323,6 @@ class TaskScheduler {
 
   // Exclusion introspection.
   bool app_excluded(ServerId s) const;
-  int app_exclusions() const noexcept { return app_exclusions_; }
 
   // Quarantine entry point for detected storage corruptions: charges the
   // hosting executor's app-level exclusion budget (no per-task/per-stage
@@ -496,7 +498,7 @@ class TaskScheduler {
   NsOfDatasetFn ns_of_dataset_;
   std::function<bool(ServerId)> admission_;
   std::function<void(ServerId)> launch_failed_;
-  FailureStats* stats_ = nullptr;
+  FailureStats stats_;
   obs::Tracer* tracer_ = nullptr;
   SlownessTracker* slowness_ = nullptr;
   std::function<bool(const BlockId&)> block_insert_filter_;
@@ -564,7 +566,6 @@ class TaskScheduler {
   int speculative_launches_ = 0;
   int speculative_wins_ = 0;
   bool speculation_suspended_ = false;
-  int app_exclusions_ = 0;
   std::uint64_t tasks_completed_ = 0;
   SimTime driver_free_at_ = 0.0;
   bool timer_armed_ = false;

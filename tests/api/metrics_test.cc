@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -12,10 +13,19 @@
 namespace stark {
 namespace {
 
-KeyHistogram hist() {
+KeyHistogram hist(Bytes total = 64 * kMiB) {
   trace::WikiTraceGen::Config c;
   c.num_urls = 256;
-  return trace::WikiTraceGen(c).histogram(64 * kMiB, 0.9);
+  return trace::WikiTraceGen(c).histogram(total, 0.9);
+}
+
+// The summary line that starts with `prefix` (empty if none does).
+std::string line_of(const std::string& summary, const std::string& prefix) {
+  std::istringstream in(summary);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind(prefix, 0) == 0) return line;
+  }
+  return {};
 }
 
 TEST(Metrics, AggregatesJobResults) {
@@ -52,15 +62,15 @@ TEST(Metrics, CountsCacheEvents) {
 }
 
 TEST(Metrics, EmptyCollectorIsZero) {
-  ClusterConfig cc;
-  cc.num_servers = 1;
-  Cluster cluster(cc);
-  MetricsCollector metrics(cluster);
+  ContextOptions o;
+  o.cluster.num_servers = 1;
+  Context ctx(o);
+  MetricsCollector metrics(ctx.cluster());
   EXPECT_EQ(metrics.jobs(), 0);
   EXPECT_EQ(metrics.node_local_fraction(), 0.0);
   EXPECT_EQ(metrics.cache_hit_ratio(), 0.0);
   EXPECT_EQ(metrics.gc_fraction(), 0.0);
-  EXPECT_FALSE(metrics.summary().empty());
+  EXPECT_FALSE(metrics.summary(ctx.dag()).empty());
 }
 
 TEST(Metrics, SummaryMentionsKeyNumbers) {
@@ -72,7 +82,7 @@ TEST(Metrics, SummaryMentionsKeyNumbers) {
   auto part = ctx.collection_partitioner(8, 256);
   auto ds = ctx.ingest("d", hist(), part, "logs");
   metrics.observe_job(ctx.count(ds));
-  const std::string s = metrics.summary();
+  const std::string s = metrics.summary(ctx.dag());
   EXPECT_NE(s.find("jobs: 1"), std::string::npos);
   EXPECT_NE(s.find("node-local: 100%"), std::string::npos);
   EXPECT_NE(s.find("cache hit 100%"), std::string::npos);
@@ -106,15 +116,16 @@ TEST(Metrics, SurfacesFailureCounters) {
   ctx.kill_server(1);
   metrics.observe_job(ctx.count(ds));
   ctx.sim().run();  // let the heartbeat grid detection fire
-  metrics.observe_failures(ctx.dag().failure_stats());
-  EXPECT_GE(metrics.heartbeat_detections(), 1);
-  EXPECT_GE(metrics.mean_detection_latency(), 0.0);
-  EXPECT_GE(metrics.task_failures() + metrics.fetch_failures() +
-                metrics.stage_resubmissions(),
-            0);
+  const FailureStats& f = ctx.dag().failure_stats();
+  EXPECT_GE(f.heartbeat_detections, 1);
+  EXPECT_GE(f.mean_detection_latency(), 0.0);
+  // The server died before the job: its loss is a detection, and the job
+  // rebuilt the lost cached partitions without a task or fetch failing.
+  EXPECT_EQ(f.task_failures + f.fetch_failures + f.stage_resubmissions, 0);
   EXPECT_EQ(metrics.aborted_jobs(), 0);
-  const std::string s = metrics.summary();
+  const std::string s = metrics.summary(ctx.dag());
   EXPECT_NE(s.find("detections: 1"), std::string::npos);
+  EXPECT_NE(s.find("failures: 0 (retries 0, fetch 0)"), std::string::npos);
 }
 
 TEST(Metrics, CountsAbortedJobs) {
@@ -127,10 +138,10 @@ TEST(Metrics, CountsAbortedJobs) {
   auto ds = ctx.ingest("d", hist(), part, "logs");
   ctx.dag().tasks().set_flaky_task_probability(1.0);
   metrics.observe_job(ctx.count(ds));
-  metrics.observe_failures(ctx.dag().failure_stats());
   EXPECT_EQ(metrics.aborted_jobs(), 1);
-  EXPECT_GT(metrics.task_failures(), 0);
-  EXPECT_NE(metrics.summary().find("(1 aborted)"), std::string::npos);
+  EXPECT_GT(ctx.dag().failure_stats().task_failures, 0);
+  EXPECT_NE(metrics.summary(ctx.dag()).find("(1 aborted)"),
+            std::string::npos);
 }
 
 TEST(Metrics, UtilizationAndSummaryUnderChaos) {
@@ -166,7 +177,7 @@ TEST(Metrics, UtilizationAndSummaryUnderChaos) {
     });
   }
   ctx.sim().run();
-  metrics.observe_failures(ctx.dag().failure_stats());
+  const FailureStats& f = ctx.dag().failure_stats();
 
   EXPECT_EQ(observed, 12);
   EXPECT_EQ(metrics.jobs(), 12);
@@ -177,16 +188,13 @@ TEST(Metrics, UtilizationAndSummaryUnderChaos) {
   EXPECT_LE(u, 1.0);
   // The chaos window produced observable failure machinery activity.
   EXPECT_GE(chaos.kills(), 1);
-  EXPECT_GE(metrics.heartbeat_detections() + metrics.task_retries() +
-                metrics.fetch_failures(),
-            1);
+  EXPECT_GE(f.heartbeat_detections + f.task_retries + f.fetch_failures, 1);
   // summary() reflects the same counters it prints.
-  const std::string s = metrics.summary();
+  const std::string s = metrics.summary(ctx.dag());
   EXPECT_NE(s.find("jobs: 12"), std::string::npos);
-  EXPECT_NE(
-      s.find("detections: " + std::to_string(metrics.heartbeat_detections())),
-      std::string::npos);
-  EXPECT_NE(s.find("retries " + std::to_string(metrics.task_retries())),
+  EXPECT_NE(s.find("detections: " + std::to_string(f.heartbeat_detections)),
+            std::string::npos);
+  EXPECT_NE(s.find("retries " + std::to_string(f.task_retries)),
             std::string::npos);
 }
 
@@ -201,20 +209,29 @@ TEST(Metrics, ResetClearsFailureSnapshotToo) {
   ctx.kill_server(1);
   metrics.observe_job(ctx.count(ds));
   ctx.sim().run();  // let the heartbeat grid detection fire
-  metrics.observe_failures(ctx.dag().failure_stats());
-  ASSERT_GE(metrics.heartbeat_detections(), 1);
+  const FailureStats& f = ctx.dag().failure_stats();
+  ASSERT_GE(f.heartbeat_detections, 1);
+  const FailureStats before = f;
+  // The collector's own failure figure is its aborted-job count, and
+  // reset() zeroes it with every other aggregate. The scheduler's failure
+  // counters are not the collector's: reset() leaves them alone, and
+  // summary(dag) still prints them.
   metrics.reset();
   EXPECT_EQ(metrics.jobs(), 0);
   EXPECT_EQ(metrics.aborted_jobs(), 0);
-  EXPECT_EQ(metrics.heartbeat_detections(), 0);
-  EXPECT_EQ(metrics.task_failures(), 0);
-  EXPECT_EQ(metrics.task_retries(), 0);
-  EXPECT_EQ(metrics.fetch_failures(), 0);
-  EXPECT_EQ(metrics.stage_resubmissions(), 0);
-  EXPECT_EQ(metrics.executor_exclusions(), 0);
-  EXPECT_EQ(metrics.executor_readmissions(), 0);
-  EXPECT_EQ(metrics.mean_detection_latency(), 0.0);
   EXPECT_EQ(metrics.cache_insertions(), 0);
+  EXPECT_EQ(f.heartbeat_detections, before.heartbeat_detections);
+  EXPECT_EQ(f.task_failures, before.task_failures);
+  EXPECT_EQ(f.task_retries, before.task_retries);
+  EXPECT_EQ(f.fetch_failures, before.fetch_failures);
+  EXPECT_EQ(f.stage_resubmissions, before.stage_resubmissions);
+  EXPECT_EQ(f.executor_exclusions, before.executor_exclusions);
+  EXPECT_EQ(f.executor_readmissions, before.executor_readmissions);
+  EXPECT_EQ(f.mean_detection_latency(), before.mean_detection_latency());
+  const std::string s = metrics.summary(ctx.dag());
+  EXPECT_NE(s.find("jobs: 0 (0 aborted)"), std::string::npos);
+  EXPECT_NE(s.find("detections: " + std::to_string(f.heartbeat_detections)),
+            std::string::npos);
 }
 
 TEST(Metrics, SurfacesOverloadCounters) {
@@ -234,15 +251,17 @@ TEST(Metrics, SurfacesOverloadCounters) {
     ctx.dag().submit(ds, ActionType::kCount, {}, [](const JobResult&) {});
   }
   ctx.sim().run();
-  metrics.observe_overload(ctx.dag().overload_stats());
-  EXPECT_EQ(metrics.jobs_admitted(), 1);
-  EXPECT_EQ(metrics.jobs_queued(), 1);
-  EXPECT_EQ(metrics.jobs_rejected(), 1);
-  EXPECT_EQ(metrics.jobs_shed(), 0);
-  EXPECT_NE(metrics.summary().find("rejected 1"), std::string::npos);
+  const OverloadStats ov = ctx.dag().overload_stats();
+  EXPECT_EQ(ov.jobs_admitted, 1);
+  EXPECT_EQ(ov.jobs_queued, 1);
+  EXPECT_EQ(ov.jobs_rejected, 1);
+  EXPECT_EQ(ov.jobs_shed, 0);
+  EXPECT_NE(metrics.summary(ctx.dag()).find("rejected 1"), std::string::npos);
+  // The counters live in the scheduler, so the collector's reset() does
+  // not clear them.
   metrics.reset();
-  EXPECT_EQ(metrics.jobs_admitted(), 0);
-  EXPECT_EQ(metrics.jobs_rejected(), 0);
+  EXPECT_EQ(ctx.dag().overload_stats().jobs_admitted, 1);
+  EXPECT_EQ(ctx.dag().overload_stats().jobs_rejected, 1);
 }
 
 TEST(Metrics, PerTenantRollupsAndDelaySpread) {
@@ -267,8 +286,10 @@ TEST(Metrics, PerTenantRollupsAndDelaySpread) {
   const auto& tenants = metrics.per_tenant();
   ASSERT_EQ(tenants.size(), 2u);  // first-observed order
   EXPECT_EQ(tenants[0].tenant, "a");
+  EXPECT_EQ(tenants[0].tenant_id, ctx.dag().tenants().find("a"));
   EXPECT_EQ(tenants[0].jobs, 2);
   EXPECT_EQ(tenants[1].tenant, "b");
+  EXPECT_EQ(tenants[1].tenant_id, ctx.dag().tenants().find("b"));
   EXPECT_EQ(tenants[1].jobs, 3);
   EXPECT_EQ(tenants[0].aborted, 0);
   EXPECT_GT(tenants[0].delays.mean(), 0.0);
@@ -277,7 +298,8 @@ TEST(Metrics, PerTenantRollupsAndDelaySpread) {
   EXPECT_GE(metrics.tenant_delay_spread(), 1.0);
   EXPECT_LT(metrics.tenant_delay_spread(), 1.5);
   // Multi-tenant runs surface the per-tenant block in the summary.
-  EXPECT_NE(metrics.summary().find("tenants: 2"), std::string::npos);
+  EXPECT_NE(metrics.summary(ctx.dag()).find("tenants: 2"),
+            std::string::npos);
 
   metrics.reset();
   EXPECT_TRUE(metrics.per_tenant().empty());
@@ -305,12 +327,9 @@ TEST(Metrics, PerTenantOverloadSnapshots) {
                    [&](const JobResult& r) { metrics.observe_job(r); });
   ctx.sim().run();
 
+  // Each rollup records its TenantId, which indexes the scheduler's
+  // per-tenant counters.
   const auto& per_tenant = ctx.dag().tenant_overload_stats();
-  const auto& reg = ctx.dag().tenants();
-  for (std::size_t t = 0; t < per_tenant.size(); ++t) {
-    metrics.observe_tenant_overload(reg.name(static_cast<TenantId>(t)),
-                                    per_tenant[t]);
-  }
   const MetricsCollector::TenantSummary* hot = nullptr;
   const MetricsCollector::TenantSummary* cold = nullptr;
   for (const auto& t : metrics.per_tenant()) {
@@ -319,9 +338,123 @@ TEST(Metrics, PerTenantOverloadSnapshots) {
   }
   ASSERT_NE(hot, nullptr);
   ASSERT_NE(cold, nullptr);
-  EXPECT_EQ(hot->overload.jobs_rejected, 1);  // third submit bounced
-  EXPECT_EQ(cold->overload.jobs_rejected, 0);
-  EXPECT_EQ(cold->overload.jobs_admitted, 1);
+  ASSERT_LT(static_cast<std::size_t>(hot->tenant_id), per_tenant.size());
+  ASSERT_LT(static_cast<std::size_t>(cold->tenant_id), per_tenant.size());
+  const OverloadStats& hot_ov = per_tenant[hot->tenant_id];
+  const OverloadStats& cold_ov = per_tenant[cold->tenant_id];
+  EXPECT_EQ(hot_ov.jobs_rejected, 1);  // third submit bounced
+  EXPECT_EQ(cold_ov.jobs_rejected, 0);
+  EXPECT_EQ(cold_ov.jobs_admitted, 1);
+  // The global view is the per-tenant sum.
+  const OverloadStats ov = ctx.dag().overload_stats();
+  EXPECT_EQ(ov.jobs_admitted, hot_ov.jobs_admitted + cold_ov.jobs_admitted);
+  EXPECT_EQ(ov.jobs_rejected, hot_ov.jobs_rejected + cold_ov.jobs_rejected);
+  // The summary's per-tenant block prints the same slots.
+  EXPECT_NE(metrics.summary(ctx.dag()).find("shed 0  rejected 1  deadline 0"),
+            std::string::npos);
+}
+
+TEST(Metrics, SummaryReadsEveryLiveCounterStruct) {
+  // One small run with the remote tier, the full cache advisor, slowness
+  // scorecards with hedging, verified reads and admission all on. Each
+  // summary line must print the struct it reads, as it stands when
+  // summary() is called.
+  ContextOptions o;
+  o.config = ConfigKind::kStarkH;
+  o.cluster.num_servers = 2;
+  o.cluster.server.ram = 24 * kMiB;  // tiny cache: the second dataset evicts
+  o.cluster.remote_memory.enabled = true;
+  o.cluster.remote_memory.capacity = 256 * kMiB;
+  o.auto_cache.mode = AutoCacheMode::kFull;
+  o.faults.slowness.enabled = true;
+  o.faults.slowness.hedging = true;
+  o.faults.verify_reads = true;
+  o.overload.admission_enabled = true;
+  Context ctx(o);
+  MetricsCollector metrics(ctx.cluster());
+  auto part = ctx.collection_partitioner(4, 256);
+  const auto ingest = [&](const std::string& name) {
+    auto ds = ctx.ingest(name, hist(40 * kMiB), part, "logs",
+                         {.materialize = false});
+    ds->cache(Dataset::StorageLevel::kMemoryAndDisk);
+    metrics.observe_job(ctx.count(ds));
+    return ds;
+  };
+  const DatasetPtr a = ingest("a");
+  const DatasetPtr b = ingest("b");  // demotes a's blocks into the pool
+  // One injected corruption on a pool copy of `a`; a verified read
+  // catches it.
+  BlockId victim{kInvalidId, -1};
+  for (const BlockId& id : ctx.cluster().remote_blocks()) {
+    if (id.dataset == a->id()) {
+      victim = id;
+      break;
+    }
+  }
+  ASSERT_NE(victim.dataset, kInvalidId);
+  ASSERT_TRUE(ctx.corrupt_block(MemoryTier::kRemote, kInvalidId, victim));
+  for (int q = 0; q < 2; ++q) {
+    metrics.observe_job(ctx.count(a));
+    metrics.observe_job(ctx.count(b));
+  }
+  ctx.sim().run();
+
+  const CacheStats& c = ctx.dag().cache_stats();
+  const RemoteMemoryStats& rm = ctx.cluster().remote_stats();
+  const FailureStats& f = ctx.dag().failure_stats();
+  const OverloadStats ov = ctx.dag().overload_stats();
+  const SlownessStats& sl = ctx.dag().slowness_stats();
+  const AutoCacheStats& ac = ctx.dag().auto_cache_stats();
+  EXPECT_GT(c.hits, 0);
+  EXPECT_GT(c.misses, 0);
+  EXPECT_GT(rm.demotions_in, 0);
+  EXPECT_EQ(f.corruptions_injected, 1);
+  EXPECT_GE(f.corruptions_detected, 1);
+  EXPECT_EQ(ov.jobs_admitted, 6);
+
+  const auto n = [](auto v) { return std::to_string(v); };
+  const std::string s = metrics.summary(ctx.dag());
+  EXPECT_EQ(line_of(s, "policy:"),
+            "policy: lru  probes: " + n(c.hits) + " hit / " + n(c.misses) +
+                " miss  recomputed: " + n(c.recomputes) + " (" +
+                format_bytes(c.bytes_recomputed) + ")  avoided: " + n(c.hits));
+  EXPECT_EQ(line_of(s, "remote tier:"),
+            "remote tier: hits " + n(c.remote_hits) + "  fault-backs " +
+                n(c.fault_backs) + "  demotions " + n(rm.demotions_in) +
+                " (" + format_bytes(rm.bytes_demoted_in) +
+                ")  evicted-to-disk " + n(rm.evictions_to_disk) +
+                "  dropped-dead-origin " + n(rm.dropped_dead_origin));
+  EXPECT_EQ(line_of(s, "integrity:"),
+            "integrity: injected " + n(f.corruptions_injected) +
+                "  detected " + n(f.corruptions_detected) + "  repaired " +
+                n(f.corruptions_repaired) + "  undetected reads " +
+                n(f.corrupt_reads_undetected) + "  reverified " +
+                format_bytes(f.bytes_reverified));
+  EXPECT_EQ(line_of(s, "overload:"),
+            "overload: admitted " + n(ov.jobs_admitted) + "  queued " +
+                n(ov.jobs_queued) + "  rejected " + n(ov.jobs_rejected) +
+                "  shed " + n(ov.jobs_shed) + "  deadline " +
+                n(ov.deadline_exceeded) + "  pressure transitions " +
+                n(ov.pressure_transitions) + " (red " + n(ov.red_entries) +
+                ")");
+  EXPECT_EQ(line_of(s, "slowness:"),
+            "slowness: peers " + n(sl.suspect_peers) + " suspect / " +
+                n(sl.degraded_peers) + " degraded (recoveries " +
+                n(sl.recoveries) + ")  hedges " + n(sl.hedges_issued) + " (" +
+                n(sl.hedges_won) + " won, " + n(sl.hedges_budget_denied) +
+                " denied)  hedge bytes " +
+                format_bytes(sl.hedge_bytes_issued) + " (" +
+                format_bytes(sl.hedge_bytes_wasted) +
+                " wasted)  timeout adaptations " +
+                n(sl.timeout_adaptations) + "  probes " +
+                n(sl.placement_probes));
+  EXPECT_EQ(line_of(s, "advisor:"),
+            "advisor: auto-caches " + n(ac.auto_caches) + " (" +
+                format_bytes(ac.bytes_promoted) + ")  auto-frees " +
+                n(ac.auto_frees) + " (" + format_bytes(ac.bytes_freed) +
+                ")  deferred " + n(ac.frees_deferred) + "  protected " +
+                n(ac.frees_protected) + "  reads sampled " +
+                n(ac.reads_sampled));
 }
 
 }  // namespace

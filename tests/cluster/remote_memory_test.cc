@@ -144,7 +144,10 @@ TEST(ClusterRemoteMemory, DisabledTierIsInert) {
   c.touch_copy(MemoryTier::kRemote, kInvalidId, {1, 0});  // safe no-op
   EXPECT_DOUBLE_EQ(c.remote_used_bytes(), 0.0);
   EXPECT_TRUE(c.remote_blocks().empty());
-  EXPECT_EQ(c.remote_stats(), nullptr);
+  const RemoteMemoryStats& rs = c.remote_stats();  // a zero struct
+  EXPECT_EQ(rs.demotions_in + rs.evictions_to_disk + rs.dropped_dead_origin +
+                rs.rejected_no_room,
+            0);
 }
 
 TEST(ClusterRemoteMemory, SpillEvictionDemotesToPoolNotDisk) {
@@ -156,8 +159,8 @@ TEST(ClusterRemoteMemory, SpillEvictionDemotesToPoolNotDisk) {
   EXPECT_EQ(c.find_copy(MemoryTier::kRemote, kInvalidId, {1, 0})->host, 0);
   EXPECT_FALSE(on_disk(c, {1, 0}, 0));  // pool intercepted the spill
   EXPECT_DOUBLE_EQ(c.total_spilled_bytes(), 0.0);
-  ASSERT_NE(c.remote_stats(), nullptr);
-  EXPECT_EQ(c.remote_stats()->demotions_in, 1);
+  ASSERT_TRUE(c.remote_memory_enabled());
+  EXPECT_EQ(c.remote_stats().demotions_in, 1);
 }
 
 TEST(ClusterRemoteMemory, PoolOverflowCascadesToOriginDisk) {
@@ -173,7 +176,7 @@ TEST(ClusterRemoteMemory, PoolOverflowCascadesToOriginDisk) {
   EXPECT_TRUE(on_disk(c, {1, 0}, 0));  // landed on origin, not server 1
   EXPECT_FALSE(on_disk(c, {1, 0}, 1));
   EXPECT_DOUBLE_EQ(c.disk_used_bytes(0), 300.0);
-  EXPECT_EQ(c.remote_stats()->evictions_to_disk, 1);
+  EXPECT_EQ(c.remote_stats().evictions_to_disk, 1);
 }
 
 TEST(ClusterRemoteMemory, PromotionSupersedesPoolCopy) {
@@ -214,7 +217,7 @@ TEST(ClusterRemoteMemory, DeadOriginPoolVictimIsDropped) {
   EXPECT_FALSE(in_pool(c, {1, 0}));
   EXPECT_FALSE(on_disk(c, {1, 0}, 0));
   EXPECT_DOUBLE_EQ(c.disk_used_bytes(0), 0.0);
-  EXPECT_EQ(c.remote_stats()->dropped_dead_origin, 1);
+  EXPECT_EQ(c.remote_stats().dropped_dead_origin, 1);
 }
 
 TEST(ClusterRemoteMemory, CorruptionTagTravelsAndDropReleasesBytes) {

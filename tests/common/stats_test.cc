@@ -122,6 +122,18 @@ TEST(TimeSeries, BucketizeDegenerate) {
   EXPECT_TRUE(ts.bucketize(2.0, 1.0, 1.0).empty());
 }
 
+TEST(Fairness, SpreadAndJainOverMeans) {
+  EXPECT_DOUBLE_EQ(max_min_spread({1.0, 3.0, 2.0}), 3.0);
+  EXPECT_DOUBLE_EQ(jain_index({1.0, 3.0}), 16.0 / 20.0);  // (4)^2 / (2*10)
+  EXPECT_DOUBLE_EQ(jain_index({2.0, 2.0, 2.0}), 1.0);
+  // Fewer than two groups, a zero minimum, or all-zero means: no spread.
+  EXPECT_DOUBLE_EQ(max_min_spread({}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(max_min_spread({0.0, 5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_index({5.0}), 1.0);
+  EXPECT_DOUBLE_EQ(jain_index({0.0, 0.0}), 1.0);
+}
+
 TEST(Format, Bytes) {
   EXPECT_EQ(format_bytes(512), "512.00 B");
   EXPECT_EQ(format_bytes(2048), "2.00 KiB");

@@ -186,6 +186,27 @@ struct Outcome {
   JobStatus status;
 };
 
+// The five job counters live only in the per-tenant slots: overload_stats()
+// is their sum, plus the pressure counters, which no tenant slot carries.
+void expect_overload_is_tenant_sum(const DagScheduler& dag) {
+  OverloadStats sum;
+  for (const OverloadStats& t : dag.tenant_overload_stats()) {
+    sum.jobs_admitted += t.jobs_admitted;
+    sum.jobs_queued += t.jobs_queued;
+    sum.jobs_rejected += t.jobs_rejected;
+    sum.jobs_shed += t.jobs_shed;
+    sum.deadline_exceeded += t.deadline_exceeded;
+    EXPECT_EQ(t.pressure_transitions, 0);
+    EXPECT_EQ(t.red_entries, 0);
+  }
+  const OverloadStats s = dag.overload_stats();
+  EXPECT_EQ(s.jobs_admitted, sum.jobs_admitted);
+  EXPECT_EQ(s.jobs_queued, sum.jobs_queued);
+  EXPECT_EQ(s.jobs_rejected, sum.jobs_rejected);
+  EXPECT_EQ(s.jobs_shed, sum.jobs_shed);
+  EXPECT_EQ(s.deadline_exceeded, sum.deadline_exceeded);
+}
+
 TEST(AdmissionEndToEnd, RejectNewRefusesSynchronouslyAndDrainsFifo) {
   Context ctx(ctx_opts(overload(AdmissionPolicy::kRejectNew)));
   auto part = ctx.collection_partitioner(8, 256);
@@ -208,11 +229,12 @@ TEST(AdmissionEndToEnd, RejectNewRefusesSynchronouslyAndDrainsFifo) {
   EXPECT_EQ(outcomes[1].status, JobStatus::kCompleted);
   EXPECT_EQ(outcomes[2].id, b);  // dispatched from the queue after a
   EXPECT_EQ(outcomes[2].status, JobStatus::kCompleted);
-  const OverloadStats& s = ctx.dag().overload_stats();
+  const OverloadStats s = ctx.dag().overload_stats();
   EXPECT_EQ(s.jobs_admitted, 1);
   EXPECT_EQ(s.jobs_queued, 1);
   EXPECT_EQ(s.jobs_rejected, 1);
   EXPECT_EQ(s.jobs_shed, 0);
+  expect_overload_is_tenant_sum(ctx.dag());
   EXPECT_EQ(ctx.dag().active_jobs(), 0);
 }
 
@@ -237,6 +259,7 @@ TEST(AdmissionEndToEnd, ShedOldestTradesStaleForFresh) {
   EXPECT_EQ(outcomes[2].id, c);
   EXPECT_EQ(outcomes[2].status, JobStatus::kCompleted);
   EXPECT_EQ(ctx.dag().overload_stats().jobs_shed, 1);
+  expect_overload_is_tenant_sum(ctx.dag());
 }
 
 TEST(AdmissionEndToEnd, BlockPolicyThrottlesWithoutLoss) {
@@ -251,7 +274,7 @@ TEST(AdmissionEndToEnd, BlockPolicyThrottlesWithoutLoss) {
   }
   ctx.sim().run();
   EXPECT_EQ(completed, 4);
-  const OverloadStats& s = ctx.dag().overload_stats();
+  const OverloadStats s = ctx.dag().overload_stats();
   EXPECT_EQ(s.jobs_rejected, 0);
   EXPECT_EQ(s.jobs_shed, 0);
   EXPECT_EQ(s.jobs_queued, 3);
@@ -279,7 +302,7 @@ TEST(AdmissionEndToEnd, RedPressureTightensIntakeAndSuspendsSpeculation) {
   EXPECT_EQ(ctx.dag().admission().in_flight({}), 1);
   EXPECT_EQ(ctx.dag().admission().pending({}), 1);
   EXPECT_TRUE(ctx.dag().tasks().speculation_suspended());
-  const OverloadStats& s = ctx.dag().overload_stats();
+  OverloadStats s = ctx.dag().overload_stats();
   EXPECT_EQ(s.pressure_transitions, 1);
   EXPECT_EQ(s.red_entries, 1);
   // Pressure clears: the next poll (on job completion) lifts degrade mode
@@ -288,8 +311,10 @@ TEST(AdmissionEndToEnd, RedPressureTightensIntakeAndSuspendsSpeculation) {
   ctx.sim().run();
   EXPECT_EQ(completed, 2);
   EXPECT_FALSE(ctx.dag().tasks().speculation_suspended());
+  s = ctx.dag().overload_stats();  // a value: re-read after the run
   EXPECT_EQ(s.pressure_transitions, 2);
   EXPECT_EQ(s.red_entries, 1);
+  expect_overload_is_tenant_sum(ctx.dag());
 }
 
 TEST(AdmissionEndToEnd, DisabledAdmissionNeverConsultsTheController) {
@@ -298,7 +323,7 @@ TEST(AdmissionEndToEnd, DisabledAdmissionNeverConsultsTheController) {
   auto ds = ctx.ingest("d", hist(), part, "logs", {.materialize = false});
   for (int i = 0; i < 8; ++i) ctx.dag().submit(ds, ActionType::kCount);
   ctx.sim().run();
-  const OverloadStats& s = ctx.dag().overload_stats();
+  const OverloadStats s = ctx.dag().overload_stats();
   EXPECT_EQ(s.jobs_admitted, 0);
   EXPECT_EQ(s.jobs_queued, 0);
   EXPECT_EQ(s.jobs_rejected, 0);

@@ -130,29 +130,6 @@ TEST(FaultTolerance, RepeatedFailuresExcludeThenReadmitExecutors) {
   ctx.sim().run();
   EXPECT_TRUE(ctx.count(ds).completed);
   EXPECT_GE(s.executor_readmissions, 1);
-  EXPECT_EQ(ctx.dag().tasks().app_exclusions(),
-            s.executor_exclusions);
-}
-
-TEST(FaultTolerance, StatsResetClearsEveryCounter) {
-  Context ctx(opts());
-  auto part = ctx.collection_partitioner(8, 256);
-  auto ds = ctx.ingest("d", hist(), part, "logs");
-  ctx.kill_server(1);
-  ASSERT_TRUE(ctx.count(ds).completed);
-  ctx.sim().run();  // let the heartbeat grid detection fire
-  ASSERT_GT(ctx.dag().failure_stats().heartbeat_detections, 0);
-  ctx.dag().reset_failure_stats();
-  const FailureStats& s = ctx.dag().failure_stats();
-  EXPECT_EQ(s.heartbeat_detections, 0);
-  EXPECT_EQ(s.task_failures, 0);
-  EXPECT_EQ(s.task_retries, 0);
-  EXPECT_EQ(s.fetch_failures, 0);
-  EXPECT_EQ(s.stage_resubmissions, 0);
-  EXPECT_EQ(s.executor_exclusions, 0);
-  EXPECT_EQ(s.executor_readmissions, 0);
-  EXPECT_EQ(s.jobs_aborted, 0);
-  EXPECT_EQ(s.mean_detection_latency(), 0.0);
 }
 
 }  // namespace
