@@ -38,6 +38,7 @@ SCENARIOS=(
   "backlog_storm       bench_overload --backlog"
   "chaos_soak          bench_chaos_resilience --soak"
   "multitenant_fanout  bench_multitenant --pinned"
+  "cache_policy        bench_ablation_cache_policy --smoke"
 )
 
 for entry in "${SCENARIOS[@]}"; do

@@ -317,9 +317,9 @@ void ChaosInjector::inject_corruption() {
     const Server& srv = cluster.server(s);
     if (!srv.alive()) continue;
     if (config_.corrupt_cache) {
-      for (const BlockId& id : srv.storage().blocks_mru_order()) {
-        if (!cluster.find_copy(MemoryTier::kRam, s, id)->corrupt) {
-          targets.push_back({false, MemoryTier::kRam, s, id, {}});
+      for (const auto& block : srv.storage().records()) {
+        if (!block.corrupted) {
+          targets.push_back({false, MemoryTier::kRam, s, block.id, {}});
         }
       }
     }

@@ -295,7 +295,7 @@ Context::Context(ContextOptions options)
   // generic block observer below still emits kBlockEvict for locality/MCF
   // bookkeeping; this channel carries the policy-attribution detail.
   cluster_.add_eviction_observer(
-      [this](ServerId s, const BlockManager::EvictedBlock& victim) {
+      [this](ServerId s, const BlockManager::CachedBlock& victim) {
         if (!obs::Tracer::active(tracer_.get())) return;
         obs::TraceEvent e;
         e.kind = obs::TraceKind::kEvictionDecision;
@@ -336,7 +336,7 @@ Context::Context(ContextOptions options)
     pressure_ = std::make_unique<MemoryPressureMonitor>(
         cluster_, options_.overload.pressure);
     cluster_.add_eviction_observer(
-        [this](ServerId, const BlockManager::EvictedBlock&) {
+        [this](ServerId, const BlockManager::CachedBlock&) {
           pressure_->on_eviction(sim_.now());
         });
     dag_->set_pressure_fn([this] { return pressure_->sample(sim_.now()); });

@@ -1,5 +1,6 @@
 #include "cluster/block_manager.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace stark {
@@ -7,22 +8,18 @@ namespace stark {
 BlockManager::BlockManager(Bytes capacity, const CachePolicyOptions& cache,
                            LineageRefcountFn lineage_refcount)
     : capacity_(capacity),
-      quotas_enabled_(!cache.tenant_quota_fractions.empty()),
-      quota_fractions_(cache.tenant_quota_fractions),
-      policy_(make_eviction_policy(cache, std::move(lineage_refcount))) {
+      cache_(cache),
+      lineage_refcount_(std::move(lineage_refcount)) {
   if (capacity < 0.0) {
     throw std::invalid_argument("BlockManager: negative capacity");
   }
   cache.validate();
-  pinned_fn_ = [this](const BlockId& id) {
-    const auto it = blocks_.find(id);
-    return it != blocks_.end() && it->second.pins > 0;
-  };
 }
 
 double BlockManager::quota_fraction(TenantId tenant) const noexcept {
   const auto idx = static_cast<std::size_t>(tenant < 0 ? 0 : tenant);
-  return idx < quota_fractions_.size() ? quota_fractions_[idx] : 0.0;
+  const auto& fractions = cache_.tenant_quota_fractions;
+  return idx < fractions.size() ? fractions[idx] : 0.0;
 }
 
 void BlockManager::charge_tenant(TenantId tenant, Bytes delta) {
@@ -37,158 +34,174 @@ Bytes BlockManager::tenant_used(TenantId tenant) const noexcept {
 }
 
 bool BlockManager::contains(const BlockId& id) const noexcept {
-  return blocks_.find(id) != blocks_.end();
+  return index_.contains(id);
 }
 
-std::optional<BlockManager::StoredBlock> BlockManager::find(
+const BlockManager::CachedBlock* BlockManager::find(
     const BlockId& id) const noexcept {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) return std::nullopt;
-  return StoredBlock{it->second.bytes, it->second.corrupted};
+  const auto it = index_.find(id);
+  return it == index_.end() ? nullptr : &*it->second;
 }
 
 bool BlockManager::mark_corrupt(const BlockId& id) {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) return false;
-  it->second.corrupted = true;
+  const auto it = index_.find(id);
+  if (it == index_.end()) return false;
+  it->second->corrupted = true;
   return true;
 }
 
-void BlockManager::touch(const BlockId& id) { policy_->on_touch(id); }
+void BlockManager::touch(const BlockId& id) {
+  const auto it = index_.find(id);
+  if (it != index_.end()) blocks_.splice(blocks_.begin(), blocks_, it->second);
+}
 
 bool BlockManager::pin(const BlockId& id) {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) return false;
-  if (it->second.pins++ == 0) pinned_bytes_ += it->second.bytes;
+  const auto it = index_.find(id);
+  if (it == index_.end()) return false;
+  CachedBlock& block = *it->second;
+  if (block.pins++ == 0) pinned_bytes_ += block.bytes;
   return true;
 }
 
 bool BlockManager::unpin(const BlockId& id) {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end() || it->second.pins == 0) return false;
-  if (--it->second.pins == 0) pinned_bytes_ -= it->second.bytes;
+  const auto it = index_.find(id);
+  if (it == index_.end() || it->second->pins == 0) return false;
+  CachedBlock& block = *it->second;
+  if (--block.pins == 0) pinned_bytes_ -= block.bytes;
   return true;
 }
 
 int BlockManager::pin_count(const BlockId& id) const noexcept {
-  const auto it = blocks_.find(id);
-  return it == blocks_.end() ? 0 : it->second.pins;
+  const CachedBlock* block = find(id);
+  return block == nullptr ? 0 : block->pins;
+}
+
+bool BlockManager::evictable(const CachedBlock& block, TenantId tenant,
+                             bool own_only) const noexcept {
+  if (block.pins > 0) return false;
+  if (block.tenant == tenant) return true;  // own blocks: always eligible
+  if (own_only) return false;
+  // Someone else's block. An owner without a quota (every owner while
+  // quotas are off) has no guaranteed floor.
+  const double f = quota_fraction(block.tenant);
+  return f <= 0.0 ||
+         tenant_used(block.tenant) - block.bytes >= f * capacity_ - 1e-9;
+}
+
+BlockManager::Iter BlockManager::next_victim(const BlockId& incoming,
+                                             TenantId tenant, bool own_only) {
+  Iter best = blocks_.end();
+  int best_refs = 0;
+  double best_score = 0.0;
+  // From the LRU end, so the strict comparisons below leave ties in LRU
+  // order.
+  for (Iter it = blocks_.end(); it != blocks_.begin();) {
+    --it;
+    if (!evictable(*it, tenant, own_only)) continue;
+    switch (cache_.policy) {
+      case EvictionPolicyKind::kLru:
+        return it;  // ignores `incoming`
+      case EvictionPolicyKind::kLrc: {
+        // Same-RDD guard (Spark's MemoryStore rule): evicting the dataset
+        // being materialized to admit more of itself turns every
+        // multi-partition insert into a self-eviction storm.
+        if (it->id.dataset == incoming.dataset) continue;
+        const int refs =
+            lineage_refcount_ ? lineage_refcount_(it->id.dataset) : 0;
+        if (best == blocks_.end() || refs < best_refs) {
+          best = it;
+          best_refs = refs;
+          if (refs == 0) return best;  // cannot do better than dead
+        }
+        break;
+      }
+      case EvictionPolicyKind::kCostSize: {
+        if (it->id.dataset == incoming.dataset) continue;  // same-RDD guard
+        // The cost floor keeps unknown (0) estimates finite.
+        const double score =
+            it->bytes / std::max(cache_.min_recompute_cost, it->recompute_cost);
+        if (best == blocks_.end() || score > best_score) {
+          best = it;
+          best_score = score;
+        }
+        break;
+      }
+    }
+  }
+  return best;
 }
 
 BlockManager::InsertResult BlockManager::insert(const BlockId& id,
                                                 Bytes bytes,
                                                 bool spill_on_evict,
                                                 double recompute_cost,
-                                                TenantId tenant) {
-  static const std::function<bool(const BlockId&)> kNoPins;
+                                                TenantId tenant,
+                                                ServerId origin) {
   InsertResult result;
-  if (bytes > capacity_) {
-    // Too large to ever cache; don't evict the world for it.
-    remove(id);
-    return result;
-  }
   // Resize-or-insert: drop the old copy first (also settles ownership
   // transfer — the last writer's tenant owns the block).
   remove(id);
-  if (pinned_bytes_ + bytes > capacity_) {
-    // Pinned blocks alone leave too little room; skip the insert rather
-    // than evict half the store for a block that still cannot fit.
-    return result;
-  }
-  const auto& pinned = pinned_bytes_ > 0.0 ? pinned_fn_ : kNoPins;
-  const auto evict = [&](const BlockId& victim) {
-    const auto it = blocks_.find(victim);
-    used_ -= it->second.bytes;
-    if (quotas_enabled_) charge_tenant(it->second.tenant, -it->second.bytes);
-    result.evicted.push_back({victim, it->second.bytes,
-                              it->second.spill_on_evict,
-                              it->second.corrupted});
-    policy_->on_remove(victim);
-    blocks_.erase(it);
-  };
-
-  if (!quotas_enabled_) {
-    // Evict policy-chosen victims until the new block fits. Under kLru the
-    // pre-check above guarantees the unpinned blocks cover the shortfall,
-    // so the loop always terminates by storing; kLrc/kCostSize may
-    // additionally refuse same-dataset victims and give up (insert
-    // skipped).
-    while (used_ + bytes > capacity_) {
-      const auto victim = policy_->choose_victim(id, pinned);
-      if (!victim.has_value()) break;  // no eligible victim: skip
-      evict(*victim);
+  // Too large to ever cache, or pinned blocks alone leave too little room:
+  // skip the insert rather than evict half the store for a block that
+  // still cannot fit.
+  if (bytes > capacity_ || pinned_bytes_ + bytes > capacity_) return result;
+  if (quotas_enabled()) {
+    // The inserting tenant may hold at most `cap` bytes here (full
+    // capacity when it has no quota configured). While the insert would put
+    // it over, evict the tenant's *own* blocks (policy order among them) —
+    // its quota pressure must not displace other tenants.
+    const double f = quota_fraction(tenant);
+    const Bytes cap = f > 0.0 ? f * capacity_ : capacity_;
+    if (bytes > cap) return result;  // can never fit inside the tenant's cap
+    while (tenant_used(tenant) + bytes > cap) {
+      const Iter victim = next_victim(id, tenant, /*own_only=*/true);
+      if (victim == blocks_.end()) return result;  // still over its cap
+      result.evicted.push_back(*victim);
+      erase(victim);
     }
-    if (used_ + bytes > capacity_) return result;  // defensive (see above)
-    policy_->on_insert(id, bytes, recompute_cost);
-    blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0});
-    used_ += bytes;
-    result.stored = true;
-    return result;
   }
-
-  // Quota path. The inserting tenant may hold at most `cap` bytes here
-  // (full capacity when it has no quota configured).
-  const double f = quota_fraction(tenant);
-  const Bytes cap = f > 0.0 ? f * capacity_ : capacity_;
-  if (bytes > cap) return result;  // can never fit inside the tenant's cap
-  // Phase A: while the insert would put the tenant over its own cap, evict
-  // the tenant's *own* blocks (policy order among them) — its quota
-  // pressure must not displace other tenants.
-  const std::function<bool(const BlockId&)> not_own = [&](const BlockId& v) {
-    if (pinned && pinned(v)) return true;
-    const auto it = blocks_.find(v);
-    return it == blocks_.end() || it->second.tenant != tenant;
-  };
-  while (tenant_used(tenant) + bytes > cap) {
-    const auto victim = policy_->choose_victim(id, not_own);
-    if (!victim.has_value()) break;
-    evict(*victim);
-  }
-  if (tenant_used(tenant) + bytes > cap) return result;  // still over cap
-  // Phase B: global pressure. Victims may come from any tenant, except
-  // that a quota-holding tenant is never pushed below its guaranteed
-  // f * capacity share by someone else's insert.
-  const std::function<bool(const BlockId&)> protected_victim =
-      [&](const BlockId& v) {
-        if (pinned && pinned(v)) return true;
-        const auto it = blocks_.find(v);
-        if (it == blocks_.end()) return true;
-        const TenantId owner = it->second.tenant;
-        if (owner == tenant) return false;  // own blocks: always eligible
-        const double owner_f = quota_fraction(owner);
-        if (owner_f <= 0.0) return false;  // no quota: no guaranteed floor
-        return tenant_used(owner) - it->second.bytes <
-               owner_f * capacity_ - 1e-9;
-      };
+  // Global pressure. Victims may come from any tenant, except that a
+  // quota-holding tenant is never pushed below its guaranteed
+  // f * capacity share by someone else's insert. Without quotas, kLru
+  // always finds room (the pinned-bytes check above covers the shortfall);
+  // kLrc/kCostSize may refuse same-dataset victims and skip the insert.
   while (used_ + bytes > capacity_) {
-    const auto victim = policy_->choose_victim(id, protected_victim);
-    if (!victim.has_value()) break;  // everything left is protected: skip
-    evict(*victim);
+    const Iter victim = next_victim(id, tenant, /*own_only=*/false);
+    if (victim == blocks_.end()) return result;
+    result.evicted.push_back(*victim);
+    erase(victim);
   }
-  if (used_ + bytes > capacity_) return result;
-  policy_->on_insert(id, bytes, recompute_cost);
-  blocks_.emplace(id, Entry{bytes, spill_on_evict, false, 0, tenant});
+  blocks_.push_front(CachedBlock{id, bytes, false, spill_on_evict, 0, tenant,
+                                 recompute_cost, origin});
+  index_.emplace(id, blocks_.begin());
   used_ += bytes;
-  charge_tenant(tenant, bytes);
+  if (quotas_enabled()) charge_tenant(tenant, bytes);
   result.stored = true;
   return result;
 }
 
-bool BlockManager::remove(const BlockId& id) {
-  const auto it = blocks_.find(id);
-  if (it == blocks_.end()) return false;
-  used_ -= it->second.bytes;
-  if (quotas_enabled_) charge_tenant(it->second.tenant, -it->second.bytes);
-  if (it->second.pins > 0) pinned_bytes_ -= it->second.bytes;
-  policy_->on_remove(id);
+void BlockManager::erase(Iter it) {
+  used_ -= it->bytes;
+  if (it->pins > 0) pinned_bytes_ -= it->bytes;
+  if (quotas_enabled()) charge_tenant(it->tenant, -it->bytes);
+  index_.erase(it->id);
   blocks_.erase(it);
+  // FP add/subtract churn may leave a residue; an empty store holds
+  // exactly 0 bytes.
+  if (blocks_.empty()) used_ = 0.0;
+}
+
+bool BlockManager::remove(const BlockId& id) {
+  const auto it = index_.find(id);
+  if (it == index_.end()) return false;
+  erase(it->second);
   return true;
 }
 
 std::vector<BlockId> BlockManager::clear() {
-  std::vector<BlockId> all = policy_->blocks_mru_order();
-  policy_->on_clear();
+  std::vector<BlockId> all = blocks_mru_order();
   blocks_.clear();
+  index_.clear();
   used_ = 0.0;
   pinned_bytes_ = 0.0;
   tenant_used_.assign(tenant_used_.size(), 0.0);
@@ -196,7 +209,10 @@ std::vector<BlockId> BlockManager::clear() {
 }
 
 std::vector<BlockId> BlockManager::blocks_mru_order() const {
-  return policy_->blocks_mru_order();
+  std::vector<BlockId> out;
+  out.reserve(blocks_.size());
+  for (const CachedBlock& block : blocks_) out.push_back(block.id);
+  return out;
 }
 
 }  // namespace stark

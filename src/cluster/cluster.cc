@@ -15,26 +15,21 @@ Cluster::Cluster(const ClusterConfig& config)
   servers_.reserve(static_cast<std::size_t>(config.num_servers));
   disk_store_.resize(static_cast<std::size_t>(config.num_servers));
   disk_used_.resize(static_cast<std::size_t>(config.num_servers), 0.0);
-  // Every server's store shares this cluster's lineage refcounts (the kLrc
-  // feed). The lambda captures `this`; Cluster is neither copied nor moved
-  // after construction (Context holds it by value, tests on the stack).
-  LineageRefcountFn refcount;
-  if (config.cache.policy == EvictionPolicyKind::kLrc) {
-    refcount = [this](DatasetId id) { return lineage_refcount(id); };
-  }
+  // Every store — each server's and the pool's — reads this cluster's
+  // lineage refcounts when it runs kLrc (the pool's policy may differ from
+  // the RAM one). The lambda captures `this`; Cluster is neither copied nor
+  // moved after construction (Context holds it by value, tests on the
+  // stack).
+  const LineageRefcountFn refcount = [this](DatasetId id) {
+    return lineage_refcount(id);
+  };
   for (int i = 0; i < config.num_servers; ++i) {
     servers_.push_back(
         std::make_unique<Server>(i, config.server, config.cache, refcount));
   }
   if (config.remote_memory.enabled) {
-    // The pool's demotion policy reads the same lineage-refcount channel
-    // when it runs kLrc (per-tier policies may differ from the RAM one).
-    LineageRefcountFn pool_refcount;
-    if (config.remote_memory.policy == EvictionPolicyKind::kLrc) {
-      pool_refcount = [this](DatasetId id) { return lineage_refcount(id); };
-    }
     remote_ = std::make_unique<RemoteMemoryPool>(config.remote_memory,
-                                                 std::move(pool_refcount));
+                                                 refcount);
   }
 }
 
@@ -71,26 +66,20 @@ bool Cluster::insert_block(ServerId s, const BlockId& id, Bytes bytes,
   Server& srv = server(s);
   if (!srv.alive()) return false;
   const bool was_indexed = cached_on(id, s);
-  const auto result =
-      srv.storage().insert(id, bytes, spill_on_evict, recompute_cost, tenant);
+  const auto result = srv.storage().insert(id, bytes, spill_on_evict,
+                                           recompute_cost, tenant, s);
   // Victims leave RAM first (observers, index, not-inserted notifications
   // in eviction order), then demote in ascending BlockId order: the pool's
   // recency state among same-instant victims must never depend on how the
   // store's containers happened to iterate.
-  std::vector<BlockManager::EvictedBlock> spill;
+  std::vector<BlockManager::CachedBlock> spill;
   for (const auto& victim : result.evicted) {
     for (const auto& obs : eviction_observers_) obs(s, victim);
     if (victim.spill) spill.push_back(victim);
     index_remove(s, victim.id);
     notify(s, victim.id, /*inserted=*/false);
   }
-  std::sort(spill.begin(), spill.end(),
-            [](const BlockManager::EvictedBlock& a,
-               const BlockManager::EvictedBlock& b) {
-              return a.id.dataset != b.id.dataset
-                         ? a.id.dataset < b.id.dataset
-                         : a.id.partition < b.id.partition;
-            });
+  std::ranges::sort(spill, {}, &BlockManager::CachedBlock::id);
   for (const auto& victim : spill) demote(s, victim);
   if (!result.stored) {
     // A failed re-insert still dropped the old RAM copy inside the store
@@ -114,7 +103,7 @@ bool Cluster::insert_block(ServerId s, const BlockId& id, Bytes bytes,
   return true;
 }
 
-void Cluster::demote(ServerId s, const BlockManager::EvictedBlock& victim) {
+void Cluster::demote(ServerId s, const BlockManager::CachedBlock& victim) {
   if (remote_) {
     const auto result =
         remote_->insert(victim.id, victim.bytes, victim.corrupted, s);
@@ -175,14 +164,14 @@ std::optional<Cluster::BlockCopy> Cluster::find_copy(MemoryTier tier,
                                                      const BlockId& id) const {
   switch (tier) {
     case MemoryTier::kRam: {
-      const auto block = server(s).storage().find(id);
-      if (!block) return std::nullopt;
+      const auto* block = server(s).storage().find(id);
+      if (block == nullptr) return std::nullopt;
       return BlockCopy{block->bytes, block->corrupted, s};
     }
     case MemoryTier::kRemote: {
-      const RemoteMemoryPool::Entry* e = remote_ ? remote_->find(id) : nullptr;
-      if (e == nullptr) return std::nullopt;
-      return BlockCopy{e->bytes, e->corrupted, e->origin};
+      const auto* block = remote_ ? remote_->find(id) : nullptr;
+      if (block == nullptr) return std::nullopt;
+      return BlockCopy{block->bytes, block->corrupted, block->origin};
     }
     case MemoryTier::kDisk: {
       const auto& store = disk_store_.at(static_cast<std::size_t>(s));
@@ -370,10 +359,7 @@ std::vector<BlockId> Cluster::spilled_blocks(ServerId s) const {
   std::vector<BlockId> out;
   out.reserve(store.size());
   for (const auto& [id, block] : store) out.push_back(id);
-  std::sort(out.begin(), out.end(), [](const BlockId& a, const BlockId& b) {
-    return a.dataset != b.dataset ? a.dataset < b.dataset
-                                  : a.partition < b.partition;
-  });
+  std::sort(out.begin(), out.end());
   return out;
 }
 

@@ -170,7 +170,7 @@ class Cluster {
   // wires the tracer's eviction-decision instants and, when overload
   // protection is on, the memory-pressure monitor's eviction-rate feed.
   using EvictionObserver =
-      std::function<void(ServerId, const BlockManager::EvictedBlock&)>;
+      std::function<void(ServerId, const BlockManager::CachedBlock&)>;
   void add_eviction_observer(EvictionObserver obs);
 
   // Demotion observers: fire once per block copy moving *down* the
@@ -187,7 +187,7 @@ class Cluster {
   void index_remove(ServerId s, const BlockId& id);
   // Moves an evicted spill victim down the hierarchy: remote pool first
   // (when enabled), origin disk otherwise or when the pool refuses.
-  void demote(ServerId s, const BlockManager::EvictedBlock& victim);
+  void demote(ServerId s, const BlockManager::CachedBlock& victim);
   // Disk-store mutations routed through these two so disk_used_ can never
   // drift from the store contents (re-spill subtracts the old size first).
   void disk_put(ServerId s, const BlockId& id, Bytes bytes, bool corrupted);

@@ -1,12 +1,12 @@
-// Block identity and pluggable cache-eviction policies for BlockManager.
+// Block identity and the cache-eviction rules BlockManager applies.
 //
-// The per-server block store delegates *which* block to evict to an
-// EvictionPolicy. Three policies ship (paper §II-B motivates why recency
-// alone is blind to the DAG):
+// A block store picks *which* block to evict by one of three rules (paper
+// §II-B motivates why recency alone is blind to the DAG). The rules keep
+// no state: the store scans its own recency list from the LRU end and
+// applies the configured EvictionPolicyKind to each record it visits.
 //
-//   * Lru      — classic least-recently-used; byte-identical to the
-//                behaviour BlockManager had when the LRU list was
-//                hardwired, and therefore the default.
+//   * Lru      — classic least-recently-used: the first unpinned record
+//                from the LRU end. The default.
 //   * Lrc      — least-reference-count (Lu et al., "Lifetime-Based Memory
 //                Management for Distributed Data Processing Systems"):
 //                victims are ordered by how many not-yet-completed stages
@@ -23,31 +23,28 @@
 //                recompute cost is a CostModel estimate stamped by the task
 //                planner at insert time. Ties degrade to LRU order.
 //
-// All three policies keep the same recency bookkeeping, so
-// blocks_mru_order() (used by deterministic fault injectors) means the same
-// thing under every policy, and victim scans are deterministic.
+// Recency means the same thing under every rule, so a store's MRU order
+// (read by deterministic fault injectors) and its victim scans are
+// deterministic.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <functional>
-#include <list>
-#include <memory>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
 
 namespace stark {
 
-// Identity of one cached partition: (dataset, partition). Hashable; the
-// whole block vocabulary (BlockManager, Cluster index, trace events) keys
-// on this pair.
+// Identity of one cached partition: (dataset, partition). Hashable and
+// ordered by (dataset, partition); the whole block vocabulary
+// (BlockManager, Cluster index, trace events) keys on this pair.
 struct BlockId {
   DatasetId dataset = kInvalidId;
   int partition = -1;
 
-  bool operator==(const BlockId&) const = default;
+  auto operator<=>(const BlockId&) const = default;
 };
 
 struct BlockIdHash {
@@ -103,62 +100,5 @@ struct CachePolicyOptions {
   // Called by ContextOptions::validate() and by BlockManager's constructor.
   void validate() const;
 };
-
-// Victim-selection strategy of one BlockManager. The store mirrors every
-// mutation into the policy (on_insert / on_touch / on_remove / on_clear);
-// choose_victim() answers "which unpinned block goes next". The base class
-// owns the recency bookkeeping shared by all policies; subclasses only
-// implement the victim scan. Not copyable; owned by the BlockManager via
-// make_eviction_policy().
-class EvictionPolicy {
- public:
-  virtual ~EvictionPolicy() = default;
-
-  virtual EvictionPolicyKind kind() const noexcept = 0;
-
-  // Store mutations, mirrored by BlockManager. on_insert registers a new
-  // block as most-recently-used with its in-memory footprint and the
-  // planner's recompute-cost estimate (seconds; 0 = unknown). All four are
-  // no-ops / idempotent for absent ids.
-  void on_insert(const BlockId& id, Bytes bytes, double recompute_cost);
-  void on_touch(const BlockId& id);
-  void on_remove(const BlockId& id);
-  void on_clear();
-
-  // Blocks from most- to least-recently used (same recency meaning under
-  // every policy; fault injectors rely on this order being deterministic).
-  std::vector<BlockId> blocks_mru_order() const;
-
-  // The next eviction victim among blocks for which `pinned` (when
-  // non-empty) returns false; nullopt when no block is eligible or the
-  // store is empty (the insert is then skipped, not partially evicted).
-  // `incoming` identifies the block being inserted: Lrc and CostSize never
-  // victimize other partitions of the same dataset (Spark's MemoryStore
-  // rule — evicting the RDD being materialized to admit more of itself
-  // turns every multi-partition insert into a self-eviction storm). Lru
-  // ignores `incoming` to stay byte-identical to the hardwired list.
-  // Pure: the caller (BlockManager) performs the actual removal and
-  // mirrors it back via on_remove().
-  virtual std::optional<BlockId> choose_victim(
-      const BlockId& incoming,
-      const std::function<bool(const BlockId&)>& pinned) const = 0;
-
- protected:
-  struct Node {
-    BlockId id;
-    Bytes bytes = 0.0;
-    double recompute_cost = 0.0;
-  };
-  // front = most recently used. Victim scans walk from the back so every
-  // policy resolves ties in LRU order.
-  std::list<Node> recency_;
-  std::unordered_map<BlockId, std::list<Node>::iterator, BlockIdHash> index_;
-};
-
-// Builds the policy `options.policy` selects. `lineage_refcount` feeds kLrc
-// (may be empty: refcounts then read as 0 and kLrc degrades to LRU); the
-// other policies ignore it. Never returns null.
-std::unique_ptr<EvictionPolicy> make_eviction_policy(
-    const CachePolicyOptions& options, LineageRefcountFn lineage_refcount);
 
 }  // namespace stark

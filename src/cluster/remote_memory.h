@@ -12,9 +12,10 @@
 //   * BlockManager evictions with spill_on_evict first demote into the
 //     pool (Cluster::insert_block), falling back to the victim's local
 //     disk only when the pool cannot make room.
-//   * The pool is bounded and runs its own EvictionPolicy — the PR 5
-//     interface generalizes to a per-tier demotion policy — evicting its
-//     victims down to the *origin* server's disk store.
+//   * The pool is bounded and stores its copies in its own BlockManager,
+//     which applies the pool's own eviction policy (it may differ from the
+//     RAM one), evicting its victims down to the *origin* server's disk
+//     store.
 //   * Reads fault blocks back up the hierarchy (DagScheduler::plan_chain),
 //     charging the tier they were found in.
 //
@@ -25,11 +26,10 @@
 // detect corrupt remote copies exactly like cache or spill ones.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
-#include "cluster/eviction_policy.h"
+#include "cluster/block_manager.h"
 #include "common/types.h"
 
 namespace stark {
@@ -50,8 +50,9 @@ struct RemoteMemoryOptions {
   // Pool capacity in bytes, shared by the whole cluster.
   Bytes capacity = 64.0 * kGiB;
   // Demotion policy for the pool's own evictions (pool -> disk). The pool
-  // has no recompute-cost feed, so kCostSize degrades to its LRU tie-break;
-  // kLrc reads the same lineage refcounts the RAM stores use.
+  // has no recompute-cost feed, so every cost sits at the floor and
+  // kCostSize evicts the largest block, breaking ties in LRU order; kLrc
+  // reads the same lineage refcounts the RAM stores use.
   EvictionPolicyKind policy = EvictionPolicyKind::kLru;
 
   // Rejects inconsistent knobs with std::invalid_argument naming the
@@ -69,49 +70,42 @@ struct RemoteMemoryStats {
   long long rejected_no_room = 0;     // demotions the pool could not admit
 };
 
-// The pool itself. Owned by Cluster (constructed only when enabled);
-// Cluster mediates all demotions, fault-backs and fault injection, so the
-// pool stays a pure container + policy pair.
+// The pool itself: a BlockManager with no pins and no quotas, whose
+// records carry the origin server of each copy. Owned by Cluster
+// (constructed only when enabled); Cluster mediates all demotions,
+// fault-backs and fault injection, so the pool stays a pure store.
 class RemoteMemoryPool {
  public:
   RemoteMemoryPool(const RemoteMemoryOptions& options,
                    LineageRefcountFn lineage_refcount);
 
-  // One block the pool evicted to make room; `origin` is the server whose
-  // RAM copy originally demoted it (where the disk fallback copy lands).
-  struct Demoted {
-    BlockId id;
-    Bytes bytes = 0.0;
-    bool corrupted = false;
-    ServerId origin = kInvalidId;
-  };
-  struct InsertResult {
-    bool stored = false;
-    std::vector<Demoted> evicted;
-  };
+  // Each evicted record's `origin` is the server whose RAM copy originally
+  // demoted it (where the disk fallback copy lands).
+  using InsertResult = BlockManager::InsertResult;
 
   // Demotes a block into the pool, evicting policy-chosen victims until it
   // fits. Returns stored=false when the pool cannot make room (victims
   // already evicted are still returned and must be spilled by the caller);
   // the caller then spills the incoming block to its origin disk instead.
-  // Re-demoting a present block overwrites it (last writer wins).
+  // A block larger than the whole pool is rejected up front and any old
+  // copy stays. Re-demoting a present block overwrites it (last writer
+  // wins); a corrupt copy keeps its bad tag.
   InsertResult insert(const BlockId& id, Bytes bytes, bool corrupted,
                       ServerId origin);
 
   // One stored copy; `origin` is the server whose eviction demoted it.
-  struct Entry {
-    Bytes bytes = 0.0;
-    bool corrupted = false;
-    ServerId origin = kInvalidId;
-  };
-  const Entry* find(const BlockId& id) const noexcept;  // null if absent
-  bool mark_corrupt(const BlockId& id);  // false when absent
-  void touch(const BlockId& id);
-  bool remove(const BlockId& id);  // false when absent
+  // Null if absent.
+  const BlockManager::CachedBlock* find(const BlockId& id) const noexcept {
+    return store_.find(id);
+  }
+  // Both return false when absent.
+  bool mark_corrupt(const BlockId& id) { return store_.mark_corrupt(id); }
+  bool remove(const BlockId& id) { return store_.remove(id); }
+  void touch(const BlockId& id) { store_.touch(id); }
 
-  Bytes capacity() const noexcept { return capacity_; }
-  Bytes used() const noexcept { return used_; }
-  std::size_t num_blocks() const noexcept { return entries_.size(); }
+  Bytes capacity() const noexcept { return store_.capacity(); }
+  Bytes used() const noexcept { return store_.used(); }
+  std::size_t num_blocks() const noexcept { return store_.num_blocks(); }
   // Pool contents sorted by (dataset, partition) so fault injectors
   // enumerating them stay deterministic across runs and stdlibs.
   std::vector<BlockId> blocks() const;
@@ -123,10 +117,7 @@ class RemoteMemoryPool {
   void note_dropped_dead_origin() noexcept;
 
  private:
-  Bytes capacity_ = 0.0;
-  Bytes used_ = 0.0;
-  std::unique_ptr<EvictionPolicy> policy_;
-  std::unordered_map<BlockId, Entry, BlockIdHash> entries_;
+  BlockManager store_;
   RemoteMemoryStats stats_;
 };
 

@@ -97,6 +97,19 @@ TEST(BlockManager, MruOrder) {
   EXPECT_EQ(order[1], (BlockId{2, 0}));
 }
 
+TEST(BlockManager, UsedIsExactlyZeroWhenEmptied) {
+  BlockManager bm(1.0);
+  // FP-hostile sizes: naive add/subtract would leave dust in `used`.
+  bm.insert({1, 0}, 0.1);
+  bm.insert({1, 1}, 0.2);
+  bm.insert({1, 2}, 0.3);
+  bm.remove({1, 0});
+  bm.remove({1, 2});
+  bm.remove({1, 1});
+  EXPECT_EQ(bm.num_blocks(), 0u);
+  EXPECT_EQ(bm.used(), 0.0);  // exact, not approximate
+}
+
 TEST(BlockManager, UtilizationAndCapacity) {
   BlockManager bm(400.0);
   bm.insert({1, 0}, 100.0);

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <vector>
 
 #include "cluster/block_manager.h"
 #include "sched/dag_scheduler.h"
@@ -75,6 +76,33 @@ TEST(EvictionPolicy, InsertNeverEvictsPinnedAndNeverEvictsWithoutStoring) {
   EXPECT_TRUE(r.evicted.empty());
   EXPECT_TRUE(bm.contains({1, 0}));
   EXPECT_TRUE(bm.contains({2, 0}));
+}
+
+TEST(EvictionPolicy, PinnedZeroByteBlockIsNeverAVictim) {
+  // A pin protects a block whatever its size: a pinned zero-byte block
+  // adds nothing to pinned_bytes(), yet it must survive pressure.
+  for (const auto kind : kAllPolicies) {
+    SCOPED_TRACE(eviction_policy_name(kind));
+    BlockManager bm(100.0, policy_opts(kind));
+    bm.insert({1, 0}, 0.0);
+    bm.insert({2, 0}, 60.0);
+    ASSERT_TRUE(bm.pin({1, 0}));
+    EXPECT_DOUBLE_EQ(bm.pinned_bytes(), 0.0);
+    const auto r = bm.insert({3, 0}, 60.0);
+    EXPECT_TRUE(r.stored);
+    const std::vector<BlockId> want = {{2, 0}};
+    std::vector<BlockId> got;
+    for (const auto& v : r.evicted) got.push_back(v.id);
+    EXPECT_EQ(got, want);
+    // Another partition of dataset 3: kLrc and kCostSize skip {3,0}, which
+    // leaves the pinned block as their only candidate, so the insert is
+    // skipped; kLru evicts {3,0}. No policy evicts {1,0}.
+    const auto r2 = bm.insert({3, 1}, 60.0);
+    EXPECT_EQ(r2.stored, kind == EvictionPolicyKind::kLru);
+    for (const auto& v : r2.evicted) EXPECT_NE(v.id, (BlockId{1, 0}));
+    EXPECT_TRUE(bm.contains({1, 0}));
+    EXPECT_EQ(bm.pin_count({1, 0}), 1);
+  }
 }
 
 TEST(EvictionPolicy, PinsNestAndAbsentUnpinIsSafe) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -120,6 +121,66 @@ TEST(RemoteMemoryPool, BlocksAreSortedDeterministically) {
   pool.insert({2, 5}, 1.0, false, 0);
   const std::vector<BlockId> want = {{1, 0}, {1, 2}, {2, 5}, {3, 1}};
   EXPECT_EQ(pool.blocks(), want);
+}
+
+TEST(RemoteMemoryPool, LrcEvictsLowestRefcountAndSparesTheIncomingDataset) {
+  RemoteMemoryOptions o = pool_options(300.0);
+  o.policy = EvictionPolicyKind::kLrc;
+  const std::map<DatasetId, int> refs{{1, 2}, {2, 0}, {3, 1}};
+  RemoteMemoryPool pool(o, [&refs](DatasetId d) {
+    const auto it = refs.find(d);
+    return it == refs.end() ? 0 : it->second;
+  });
+  pool.insert({1, 0}, 100.0, false, 0);
+  pool.insert({2, 0}, 100.0, false, 1);
+  pool.insert({3, 0}, 100.0, false, 2);
+  pool.touch({2, 0});  // most recently used, but zero lineage references
+  const auto r = pool.insert({4, 0}, 100.0, false, 3);
+  ASSERT_TRUE(r.stored);
+  ASSERT_EQ(r.evicted.size(), 1u);
+  EXPECT_EQ(r.evicted[0].id, (BlockId{2, 0}));
+  EXPECT_EQ(r.evicted[0].origin, 1);
+  // {4,0} now has the lowest refcount (0), but it is another partition of
+  // the incoming dataset: the next-lowest {3,0} goes instead.
+  const auto r2 = pool.insert({4, 1}, 100.0, false, 3);
+  ASSERT_TRUE(r2.stored);
+  ASSERT_EQ(r2.evicted.size(), 1u);
+  EXPECT_EQ(r2.evicted[0].id, (BlockId{3, 0}));
+  EXPECT_NE(pool.find({4, 0}), nullptr);
+  EXPECT_NE(pool.find({1, 0}), nullptr);
+}
+
+TEST(RemoteMemoryPool, CostSizeEvictsLargestAndBreaksTiesInLruOrder) {
+  // The pool has no recompute-cost feed: every cost sits at the floor, so
+  // kCostSize ranks victims by size alone.
+  RemoteMemoryOptions o = pool_options(500.0);
+  o.policy = EvictionPolicyKind::kCostSize;
+  RemoteMemoryPool pool(o, nullptr);
+  pool.insert({1, 0}, 100.0, false, 0);  // least recently used
+  pool.insert({2, 0}, 300.0, false, 0);
+  pool.insert({3, 0}, 100.0, false, 0);
+  const auto r = pool.insert({4, 0}, 100.0, false, 0);
+  ASSERT_TRUE(r.stored);
+  ASSERT_EQ(r.evicted.size(), 1u);
+  EXPECT_EQ(r.evicted[0].id, (BlockId{2, 0}));  // largest, not LRU
+  // Equal sizes: LRU order decides.
+  const auto r2 = pool.insert({5, 0}, 300.0, false, 0);
+  ASSERT_TRUE(r2.stored);
+  ASSERT_EQ(r2.evicted.size(), 1u);
+  EXPECT_EQ(r2.evicted[0].id, (BlockId{1, 0}));
+  EXPECT_DOUBLE_EQ(pool.used(), 500.0);
+}
+
+TEST(RemoteMemoryPool, OversizedRedemotionKeepsTheOldCopy) {
+  auto pool = make_pool(1000.0);
+  ASSERT_TRUE(pool.insert({1, 0}, 100.0, /*corrupted=*/true, 0).stored);
+  const auto r = pool.insert({1, 0}, 5000.0, false, 1);
+  EXPECT_FALSE(r.stored);
+  EXPECT_TRUE(r.evicted.empty());
+  ASSERT_NE(pool.find({1, 0}), nullptr);
+  EXPECT_EQ(pool.find({1, 0})->origin, 0);
+  EXPECT_TRUE(pool.find({1, 0})->corrupted);  // the old copy, bad tag and all
+  EXPECT_DOUBLE_EQ(pool.used(), 100.0);
 }
 
 TEST(RemoteMemoryOptions, ValidateRejectsEnabledWithoutCapacity) {
