@@ -279,17 +279,10 @@ Context::Context(ContextOptions options)
   detector_->set_tracer(tracer_.get());
   detector_->set_on_executor_lost(
       [this](ServerId s, double latency) { dag_->on_executor_lost(s, latency); });
-  // Task offers go only to executors the driver believes are alive. The
-  // epoch lets the scheduler reuse its per-sweep offer cache until a
-  // belief actually flips instead of re-asking for every server.
-  dag_->tasks().set_admission_fn(
-      [this](ServerId s) { return detector_->believed_alive(s); });
-  dag_->tasks().set_admission_epoch_fn(
-      [this] { return detector_->belief_epoch(); });
-  // A launch RPC aimed at a crashed executor fails on the spot and
+  // Task offers go only to executors the driver believes are alive, and a
+  // launch RPC aimed at a crashed executor fails on the spot and
   // short-circuits the heartbeat timeout.
-  dag_->tasks().set_launch_failed_fn(
-      [this](ServerId s) { detector_->report_launch_failure(s); });
+  dag_->tasks().set_failure_detector(detector_.get());
   // Eviction decisions as first-class trace instants: which policy fired,
   // how many bytes left RAM, and whether the victim spilled to disk. The
   // generic block observer below still emits kBlockEvict for locality/MCF

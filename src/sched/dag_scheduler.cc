@@ -226,7 +226,7 @@ void DagScheduler::close_job(Job& job, JobStatus status, std::string reason) {
   r.finish_time = sim_->now();
   r.delay = r.finish_time - r.submit_time;
   collect_stage_breakdowns(job);
-  cancel_deadline(job.id);
+  if (job.deadline_event) sim_->cancel(*job.deadline_event);
   release_admission_slot(job);
   if (obs::Tracer::active(tracer_)) {
     obs::TraceEvent e;
@@ -255,23 +255,11 @@ void DagScheduler::arm_deadline(Job& job) {
                               ? job.deadline_seconds
                               : options_.overload.deadline_seconds;
   if (deadline <= 0.0) return;
-  deadline_events_[job.id] =
+  job.deadline_event =
       sim_->after(deadline, [this, id = job.id] { on_deadline(id); });
 }
 
-void DagScheduler::cancel_deadline(JobId id) {
-  const auto it = deadline_events_.find(id);
-  if (it == deadline_events_.end()) return;
-  // Only cancel while our entry is live: EventIds are recycled, so a
-  // stale id could cancel an unrelated event.
-  sim_->cancel(it->second);
-  deadline_events_.erase(it);
-}
-
 void DagScheduler::on_deadline(JobId id) {
-  const auto evt = deadline_events_.find(id);
-  if (evt == deadline_events_.end()) return;  // job already closed
-  deadline_events_.erase(evt);
   const auto it = jobs_.find(id);
   if (it == jobs_.end() || it->second->done) return;
   Job& job = *it->second;
@@ -582,10 +570,7 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
     Shuffle& sh = shuffles_[key];
     // An executor lost mid-stage can leave holes even though every task of
     // the (reduced) set finished: relaunch just the missing units.
-    const bool complete = std::all_of(
-        sh.outputs.begin(), sh.outputs.end(),
-        [this](const MapOutput& out) { return output_host_healthy(out.host); });
-    if (!complete) {
+    if (!shuffle_healthy(sh)) {
       ++stage.attempts;
       if (stage.attempts > options_.faults.max_stage_attempts) {
         abort_job(job, "map stage for shuffle " + std::to_string(key.child) +
@@ -643,7 +628,9 @@ void DagScheduler::on_stage_complete(StageRun& stage) {
 }
 
 // Copies the per-stage phase accumulators of every stage that ran at least
-// one task into the result, ordered by stage id.
+// one task into the result. job.stages is in stage-id order: build_stage
+// mints the id and appends the stage before it recurses into parents, and
+// rebuild_shuffle appends later stages, which get larger ids.
 void DagScheduler::collect_stage_breakdowns(Job& job) {
   job.result.stages.clear();
   for (const auto& stage : job.stages) {
@@ -651,10 +638,6 @@ void DagScheduler::collect_stage_breakdowns(Job& job) {
       job.result.stages.push_back(stage->breakdown);
     }
   }
-  std::sort(job.result.stages.begin(), job.result.stages.end(),
-            [](const StageBreakdown& a, const StageBreakdown& b) {
-              return a.stage < b.stage;
-            });
 }
 
 void DagScheduler::finish_job(Job& job) {

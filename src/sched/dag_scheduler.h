@@ -309,6 +309,9 @@ class DagScheduler {
     std::string lane;
     int priority = 0;
     double deadline_seconds = 0.0;
+    // The armed deadline event; close_job cancels it. EventQueue ids are
+    // generation-tagged, so cancelling one that already fired is a no-op.
+    std::optional<sim::EventId> deadline_event;
     bool queued = false;
     bool dispatched = false;
 
@@ -351,11 +354,9 @@ class DagScheduler {
   void close_job(Job& job, JobStatus status, std::string reason);
   // Records the closed job's result, fires its callback and erases it.
   void deliver_result(Job& job);
-  // Deadline machinery. Events live in deadline_events_; an entry is erased
-  // by whichever of {handler fired, job finished, job aborted} comes first,
-  // so a recycled EventId is never cancelled by mistake.
+  // Deadline machinery: arm_deadline stores the event in the Job, and
+  // on_deadline closes a job that is still open when it fires.
   void arm_deadline(Job& job);
-  void cancel_deadline(JobId id);
   void on_deadline(JobId id);
   // Poll the pressure signal; on a band change, count the transition, trace
   // it, and toggle the task scheduler's degrade mode.
@@ -483,7 +484,6 @@ class DagScheduler {
   int red_entries_ = 0;
   std::function<PressureBand()> pressure_fn_;
   PressureBand last_band_ = PressureBand::kGreen;
-  std::unordered_map<JobId, sim::EventId> deadline_events_;
   bool draining_admission_ = false;
   std::unordered_map<DatasetId, Bytes> checkpointed_;
   Bytes checkpoint_bytes_ = 0.0;

@@ -4,7 +4,9 @@
 #include <cmath>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
+#include "cluster/failure_detector.h"
 #include "common/log.h"
 #include "common/rng.h"
 
@@ -19,6 +21,8 @@ TaskScheduler::TaskScheduler(sim::Simulation& sim, Cluster& cluster,
       options_(options),
       ns_of_dataset_(std::move(ns_of_dataset)),
       by_server_(static_cast<std::size_t>(cluster.size())),
+      deferred_(static_cast<std::size_t>(cluster.size())),
+      contention_(static_cast<std::size_t>(cluster.size())),
       placement_rng_(options.seed),
       flaky_rng_(splitmix64(options.seed ^ 0x464c414bULL)) {}
 
@@ -72,10 +76,7 @@ void TaskScheduler::submit(TaskSetPtr ts) {
   }
   auto set = std::make_shared<ActiveSet>();
   set->ts = std::move(ts);
-  set->task_done_flags.assign(set->ts->tasks.size(), 0);
-  set->task_speculated.assign(set->ts->tasks.size(), 0);
-  set->attempts.assign(set->ts->tasks.size(), 0);
-  set->runs_by_index.assign(set->ts->tasks.size(), {});
+  set->state.resize(set->ts->tasks.size());
   for (int i = 0; i < static_cast<int>(set->ts->tasks.size()); ++i) {
     set->pending.push_back(i);
     if (!set->ts->tasks[static_cast<std::size_t>(i)].preferred.empty()) {
@@ -84,9 +85,7 @@ void TaskScheduler::submit(TaskSetPtr ts) {
   }
   set->locality_anchor = sim_->now();
   set->seq = next_set_seq_++;
-  task_sets_.push_back(set);
-  set->self = std::prev(task_sets_.end());
-  by_job_stage_[job_stage_key(set->ts->job, set->ts->stage)].push_back(set);
+  ++live_sets_;
   by_job_[set->ts->job].push_back(set);
   mark_ready(set);
   schedule();
@@ -133,12 +132,7 @@ void TaskScheduler::detach_set(const std::shared_ptr<ActiveSet>& set) {
   if (set->detached) return;
   set->detached = true;
   unready(*set);
-  task_sets_.erase(set->self);
-  const auto jit = by_job_stage_.find(job_stage_key(set->ts->job, set->ts->stage));
-  if (jit != by_job_stage_.end()) {
-    std::erase(jit->second, set);
-    if (jit->second.empty()) by_job_stage_.erase(jit);
-  }
+  --live_sets_;
   const auto bit = by_job_.find(set->ts->job);
   if (bit != by_job_.end()) {
     std::erase(bit->second, set);
@@ -160,7 +154,7 @@ std::uint64_t TaskScheduler::collection_key(const BlockId& id) const {
 
 void TaskScheduler::on_block_event(ServerId s, const BlockId& id,
                                    bool inserted) {
-  auto& counts = contention_[s];
+  auto& counts = contention_[static_cast<std::size_t>(s)];
   const std::uint64_t key = collection_key(id);
   if (inserted) {
     ++counts[key];
@@ -171,13 +165,7 @@ void TaskScheduler::on_block_event(ServerId s, const BlockId& id,
 }
 
 int TaskScheduler::unique_collection_partitions(ServerId s) const {
-  const auto it = contention_.find(s);
-  return it == contention_.end() ? 0 : static_cast<int>(it->second.size());
-}
-
-bool TaskScheduler::app_excluded(ServerId s) const {
-  const auto it = app_excluded_until_.find(s);
-  return it != app_excluded_until_.end() && sim_->now() + 1e-12 < it->second;
+  return static_cast<int>(contention_[static_cast<std::size_t>(s)].size());
 }
 
 void TaskScheduler::expire_exclusions() {
@@ -199,12 +187,9 @@ void TaskScheduler::expire_exclusions() {
 
 void TaskScheduler::rebuild_offer_cache() {
   // Both epochs are monotonic, so their sum changes whenever either does.
-  // An admission fn without an epoch fn (tests wiring a bare callback)
-  // conservatively rebuilds every sweep.
   const std::uint64_t key =
-      cluster_->topology_epoch() + (admission_epoch_ ? admission_epoch_() : 0);
-  const bool cacheable = !admission_ || static_cast<bool>(admission_epoch_);
-  if (offer_cache_valid_ && cacheable && key == offer_cache_key_) return;
+      cluster_->topology_epoch() + (detector_ ? detector_->belief_epoch() : 0);
+  if (offer_cache_valid_ && key == offer_cache_key_) return;
   offer_cache_key_ = key;
   offer_cache_valid_ = true;
   const int n = cluster_->size();
@@ -216,7 +201,7 @@ void TaskScheduler::rebuild_offer_cache() {
     if (!srv.alive()) {
       // A dead server the driver still believes alive: the NODE_LOCAL
       // pass "sends" it a launch RPC whose failure reveals the loss.
-      if (launch_failed_ && (!admission_ || admission_(s))) {
+      if (detector_ && detector_->believed_alive(s)) {
         probe_launch_failure_[static_cast<std::size_t>(s)] = 1;
       }
       continue;
@@ -224,7 +209,7 @@ void TaskScheduler::rebuild_offer_cache() {
     // A partitioned executor is skipped too: the launch RPC fails fast, so
     // the driver moves on even before declaring the executor lost.
     if (!srv.reachable()) continue;
-    if (admission_ && !admission_(s)) continue;
+    if (detector_ && !detector_->believed_alive(s)) continue;
     // App-wide exclusion is deliberately NOT cached: a verified read can
     // quarantine an executor mid-sweep (plan-time corruption detection
     // charges the excludeOnFailure budget), so offerable() checks it live.
@@ -242,17 +227,21 @@ bool TaskScheduler::offerable(ServerId s, const ActiveSet& set,
         app_excluded_mask_[static_cast<std::size_t>(s)] != 0) {
       return false;
     }
-    if (set.stage_excluded.count(s) != 0) return false;
-    const auto fit = set.failed_on.find(index);
-    if (fit != set.failed_on.end()) {
-      const auto sit = fit->second.find(s);
-      if (sit != fit->second.end() &&
-          sit->second >= options_.faults.max_task_attempts_per_executor) {
-        return false;
-      }
-    }
+    if (excluded_for_task(s, set, index)) return false;
   }
   return true;
+}
+
+bool TaskScheduler::excluded_for_task(ServerId s, const ActiveSet& set,
+                                      int index) const {
+  if (set.stage_excluded.count(s) != 0) return true;
+  for (const auto& [server, failures] :
+       set.state[static_cast<std::size_t>(index)].failed_on) {
+    if (server == s) {
+      return failures >= options_.faults.max_task_attempts_per_executor;
+    }
+  }
+  return false;
 }
 
 void TaskScheduler::refresh_sweep_candidates() {
@@ -478,7 +467,7 @@ void TaskScheduler::schedule() {
     }
   }
   if (!launch_failures.empty()) {
-    for (const ServerId s : launch_failures) launch_failed_(s);
+    for (ServerId s : launch_failures) detector_->report_launch_failure(s);
     sweep_again = true;  // losses changed the placement picture
   }
   }
@@ -504,8 +493,8 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
   const TaskSpec& task = set->ts->tasks[static_cast<std::size_t>(index)];
   // The driver serializes and ships tasks one at a time.
   const SimTime launch_time =
-      std::max(sim_->now(), driver_free_at_) + cost_.driver_dispatch_per_task;
-  driver_free_at_ = launch_time;
+      std::max(sim_->now(), driver_idle_at_) + cost_.driver_dispatch_per_task;
+  driver_idle_at_ = launch_time;
 
   TaskPlan plan = set->ts->plan(task, server);
   srv.add_working_set(plan.working_set);
@@ -583,7 +572,7 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
     e.tenant = set->ts->tenant;
     e.task_index = index;
     e.unit = task.unit_id;
-    e.attempt = set->attempts[static_cast<std::size_t>(index)];
+    e.attempt = set->state[static_cast<std::size_t>(index)].attempts;
     e.server = server;
     if (node_local) e.flags |= obs::kFlagNodeLocal;
     if (speculative) e.flags |= obs::kFlagSpeculative;
@@ -602,7 +591,7 @@ void TaskScheduler::launch(const std::shared_ptr<ActiveSet>& set, int index,
     run.event = sim_->at(finish, [this, run_id] { complete(run_id); });
   }
   by_server_[static_cast<std::size_t>(server)].push_back(run_id);
-  set->runs_by_index[static_cast<std::size_t>(index)].push_back(run_id);
+  set->state[static_cast<std::size_t>(index)].runs.push_back(run_id);
   runs_[slot_of(run_id)] = std::move(run);
   ++live_runs_;
 }
@@ -631,7 +620,7 @@ void TaskScheduler::release_run_resources(const RunningTask& run) {
         run.set->ts->tenant < 0 ? 0 : run.set->ts->tenant);
     if (t < tenant_running_cores_.size()) --tenant_running_cores_[t];
   }
-  run.set->runs_by_index[static_cast<std::size_t>(run.index)].erase(run.id);
+  run.set->state[static_cast<std::size_t>(run.index)].runs.erase(run.id);
 }
 
 void TaskScheduler::discard_run(std::uint64_t run_id) {
@@ -657,15 +646,12 @@ void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
   const double threshold = options_.speculation_multiplier * median;
   rebuild_offer_cache();  // pick_remote_server below reads the offer cache
   refresh_sweep_candidates();
-  // Snapshot: launching mutates runs_by_index.
+  // Snapshot: launching adds to the tasks' in-flight runs.
   std::vector<std::pair<int, std::uint64_t>> candidates;
-  for (std::size_t index = 0; index < set->runs_by_index.size(); ++index) {
-    const auto& runs = set->runs_by_index[index];
-    if (set->task_done_flags[index] || set->task_speculated[index] ||
-        runs.size() != 1) {
-      continue;
-    }
-    candidates.emplace_back(static_cast<int>(index), runs.front());
+  for (std::size_t index = 0; index < set->state.size(); ++index) {
+    const TaskState& t = set->state[index];
+    if (t.done || t.speculated || t.runs.size() != 1) continue;
+    candidates.emplace_back(static_cast<int>(index), t.runs.front());
   }
   for (const auto& [index, run_id] : candidates) {
     const RunningTask* run = find_run(run_id);
@@ -676,14 +662,14 @@ void TaskScheduler::maybe_speculate(const std::shared_ptr<ActiveSet>& set) {
     const ServerId s =
         pick_remote_server(*set, index, /*exclude=*/run->server);
     if (s == kInvalidId) continue;
-    set->task_speculated[static_cast<std::size_t>(index)] = 1;
+    set->state[static_cast<std::size_t>(index)].speculated = true;
     launch(set, index, s, /*node_local=*/false, /*speculative=*/true);
   }
 }
 
 void TaskScheduler::finish_set_if_done(const std::shared_ptr<ActiveSet>& set) {
   if (set->aborted) return;
-  if (set->pending.empty() && set->parked.empty() &&
+  if (set->pending.empty() && set->parked == 0 &&
       set->backoff_pending == 0 && set->running == 0 &&
       set->finished == static_cast<int>(set->ts->tasks.size())) {
     detach_set(set);
@@ -705,7 +691,7 @@ void TaskScheduler::complete(std::uint64_t run_id) {
     if (!srv.reachable()) {
       // The task finished, but the result cannot reach the driver. Deliver
       // it if the partition heals; requeue it if detection fires first.
-      deferred_[r.server].push_back(run_id);
+      deferred_[static_cast<std::size_t>(r.server)].push_back(run_id);
       return;
     }
   }
@@ -716,18 +702,18 @@ void TaskScheduler::complete(std::uint64_t run_id) {
   release_run_resources(run);
 
   auto& set = run.set;
-  if (set->task_done_flags[static_cast<std::size_t>(run.index)]) {
+  TaskState& state = set->state[static_cast<std::size_t>(run.index)];
+  if (state.done) {
     // A copy that lost the race but whose cancellation raced the event.
     schedule();
     return;
   }
   // This copy wins; kill any sibling still running.
-  set->task_done_flags[static_cast<std::size_t>(run.index)] = 1;
+  state.done = true;
   if (run.speculative) ++speculative_wins_;
-  const auto runs_snapshot =
-      set->runs_by_index[static_cast<std::size_t>(run.index)];
-  for (const std::uint64_t sibling : runs_snapshot) discard_run(sibling);
-  set->runs_by_index[static_cast<std::size_t>(run.index)].clear();
+  const TaskRuns siblings = state.runs;  // copy: discard_run edits it
+  for (const std::uint64_t sibling : siblings) discard_run(sibling);
+  state.runs.clear();
 
   for (const auto& block : run.plan.blocks_to_cache) {
     // The plan predates completion; a dataset freed in between must not
@@ -771,7 +757,7 @@ void TaskScheduler::complete(std::uint64_t run_id) {
     e.tenant = set->ts->tenant;
     e.task_index = run.index;
     e.unit = task.unit_id;
-    e.attempt = set->attempts[static_cast<std::size_t>(run.index)];
+    e.attempt = state.attempts;
     e.server = run.server;
     e.flags |= obs::kFlagCompleted;
     if (run.metrics.node_local) e.flags |= obs::kFlagNodeLocal;
@@ -796,17 +782,21 @@ void TaskScheduler::complete(std::uint64_t run_id) {
   schedule();
 }
 
-void TaskScheduler::record_task_error(const std::shared_ptr<ActiveSet>& set,
-                                      int index, ServerId server) {
+void TaskScheduler::record_task_error(ActiveSet& set, int index,
+                                      ServerId server) {
   if (!options_.faults.exclude_on_failure) return;
   // Per-task: never retry this task on an executor it failed on (once
   // max_task_attempts_per_executor is used up).
-  ++set->failed_on[index][server];
+  auto& failed_on = set.state[static_cast<std::size_t>(index)].failed_on;
+  auto it = std::find_if(failed_on.begin(), failed_on.end(),
+                         [server](const auto& e) { return e.first == server; });
+  if (it == failed_on.end()) it = failed_on.insert(it, {server, 0});
+  ++it->second;
   // Per-stage: enough failures within one task set exclude the executor
   // for the rest of the stage.
-  if (++set->stage_failures[server] >=
+  if (++set.stage_failures[server] >=
       options_.faults.max_failures_per_executor_stage) {
-    set->stage_excluded.insert(server);
+    set.stage_excluded.insert(server);
   }
   // Application-wide: repeated failures across stages exclude the executor
   // cluster-wide for exclude_timeout seconds.
@@ -850,13 +840,13 @@ void TaskScheduler::emit_retry(const ActiveSet& set, int index) {
   e.stage = set.ts->stage;
   e.task_index = index;
   e.unit = set.ts->tasks[static_cast<std::size_t>(index)].unit_id;
-  e.attempt = set.attempts[static_cast<std::size_t>(index)];
+  e.attempt = set.state[static_cast<std::size_t>(index)].attempts;
   tracer_->emit(e);
 }
 
 void TaskScheduler::requeue_with_backoff(const std::shared_ptr<ActiveSet>& set,
                                          int index) {
-  const int attempts = set->attempts[static_cast<std::size_t>(index)];
+  const int attempts = set->state[static_cast<std::size_t>(index)].attempts;
   const double delay =
       std::min(options_.faults.retry_backoff *
                    std::pow(2.0, std::max(0, attempts - 1)),
@@ -866,31 +856,32 @@ void TaskScheduler::requeue_with_backoff(const std::shared_ptr<ActiveSet>& set,
   ++set->backoff_pending;
   sim_->after(delay, [this, set, index] {
     --set->backoff_pending;
-    if (set->aborted ||
-        set->task_done_flags[static_cast<std::size_t>(index)]) {
-      return;
-    }
-    set->task_speculated[static_cast<std::size_t>(index)] = 0;
+    TaskState& state = set->state[static_cast<std::size_t>(index)];
+    if (set->aborted || state.done) return;
+    state.speculated = false;
     set->pending.push_back(index);
     mark_ready(set);
     schedule();
   });
 }
 
-void TaskScheduler::abort_set(const std::shared_ptr<ActiveSet>& set,
-                              const std::string& reason) {
-  if (set->aborted) return;
+void TaskScheduler::teardown(const std::shared_ptr<ActiveSet>& set) {
   set->aborted = true;
   detach_set(set);
   // Discard every copy still in flight, in run-id (launch) order.
   std::vector<std::uint64_t> run_ids;
-  for (const auto& runs : set->runs_by_index) {
-    run_ids.insert(run_ids.end(), runs.begin(), runs.end());
+  for (const TaskState& t : set->state) {
+    run_ids.insert(run_ids.end(), t.runs.begin(), t.runs.end());
   }
   std::sort(run_ids.begin(), run_ids.end());
   for (const std::uint64_t id : run_ids) discard_run(id);
   set->pending.clear();
-  set->parked.clear();
+}
+
+void TaskScheduler::abort_set(const std::shared_ptr<ActiveSet>& set,
+                              const std::string& reason) {
+  if (set->aborted) return;
+  teardown(set);
   STARK_LOG_INFO("aborting task set (job %d stage %d): %s", set->ts->job,
                  set->ts->stage, reason.c_str());
   if (set->ts->on_abort) set->ts->on_abort(reason);
@@ -914,19 +905,17 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
   release_run_resources(run);
 
   auto& set = run.set;
-  if (set->aborted ||
-      set->task_done_flags[static_cast<std::size_t>(run.index)]) {
+  TaskState& state = set->state[static_cast<std::size_t>(run.index)];
+  if (set->aborted || state.done) {
     schedule();
     return;
   }
   ++stats_.task_failures;
   // Fetch failures count against the *stage* (resubmission attempts), not
   // the task's own retry budget — mirroring Spark's TaskSetManager.
-  if (kind != TaskFailureKind::kFetchFailed) {
-    ++set->attempts[static_cast<std::size_t>(run.index)];
-  }
+  if (kind != TaskFailureKind::kFetchFailed) ++state.attempts;
   if (kind == TaskFailureKind::kTaskError) {
-    record_task_error(set, run.index, run.server);
+    record_task_error(*set, run.index, run.server);
   }
   if (obs::Tracer::active(tracer_)) {
     obs::TraceEvent e;
@@ -937,15 +926,13 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
     e.stage = set->ts->stage;
     e.task_index = run.index;
     e.unit = set->ts->tasks[static_cast<std::size_t>(run.index)].unit_id;
-    e.attempt = set->attempts[static_cast<std::size_t>(run.index)];
+    e.attempt = state.attempts;
     e.server = run.server;
     if (run.speculative) e.flags |= obs::kFlagSpeculative;
     tracer_->emit(e);
   }
 
-  const auto& siblings =
-      set->runs_by_index[static_cast<std::size_t>(run.index)];
-  if (!siblings.empty()) {
+  if (!state.runs.empty()) {
     // A speculative copy is still running; let it race. The task_failed
     // notification is deliberately skipped: its driver-side accounting
     // (fetch-failure counters, stage-attempt bumps, shuffle rebuilds) must
@@ -961,7 +948,7 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
     TaskFailure failure;
     failure.kind = kind;
     failure.server = run.server;
-    failure.attempts = set->attempts[static_cast<std::size_t>(run.index)];
+    failure.attempts = state.attempts;
     if (run.fetch_failure.has_value()) {
       failure.shuffle = run.fetch_failure->shuffle;
       failure.fetch_source = run.fetch_failure->source;
@@ -977,15 +964,22 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
   if (action == TaskFailureAction::kPark) {
     // Zombie the whole set, like Spark does on FetchFailed: launching the
     // siblings now would only replay the same doomed fetch. Everything not
-    // yet finished waits for the unpark.
-    set->parked.insert(run.index);
-    for (const int idx : set->pending) set->parked.insert(idx);
+    // yet finished waits for the unpark: the failed task joins the pending
+    // ones, and all of them park.
+    set->pending.push_back(run.index);
+    for (const int idx : set->pending) {
+      TaskState& t = set->state[static_cast<std::size_t>(idx)];
+      if (!t.parked) {
+        t.parked = true;
+        ++set->parked;
+      }
+    }
     set->pending.clear();
     unready(*set);
     schedule();
     return;
   }
-  const int attempts = set->attempts[static_cast<std::size_t>(run.index)];
+  const int attempts = state.attempts;
   if (attempts >= options_.faults.max_task_failures) {
     abort_set(set, "task " + std::to_string(run.index) + " failed " +
                        std::to_string(attempts) + " times (max " +
@@ -998,18 +992,9 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
   // still allowed to run on. Spark aborts rather than spin forever.
   if (options_.faults.exclude_on_failure) {
     bool placeable = false;
-    for (ServerId s : cluster_->alive_servers()) {
-      if (set->stage_excluded.count(s) != 0) continue;
-      const auto fit = set->failed_on.find(run.index);
-      if (fit != set->failed_on.end()) {
-        const auto sit = fit->second.find(s);
-        if (sit != fit->second.end() &&
-            sit->second >= options_.faults.max_task_attempts_per_executor) {
-          continue;
-        }
-      }
-      placeable = true;
-      break;
+    for (ServerId s = 0; s < cluster_->size() && !placeable; ++s) {
+      placeable = cluster_->server(s).alive() &&
+                  !excluded_for_task(s, *set, run.index);
     }
     if (!placeable) {
       abort_set(set, "task " + std::to_string(run.index) +
@@ -1021,7 +1006,7 @@ void TaskScheduler::fail(std::uint64_t run_id, TaskFailureKind kind) {
   }
   if (kind == TaskFailureKind::kExecutorLost) {
     // Executor loss requeues immediately: the task did nothing wrong.
-    set->task_speculated[static_cast<std::size_t>(run.index)] = 0;
+    state.speculated = false;
     set->pending.push_back(run.index);
     mark_ready(set);
     ++stats_.task_retries;
@@ -1044,19 +1029,14 @@ void TaskScheduler::handle_server_failure(ServerId s) {
   }
   // Runs the callbacks above launched on s are forgotten with the rest.
   on_server.clear();
-  deferred_.erase(s);
-  contention_.erase(s);
+  deferred_[static_cast<std::size_t>(s)].clear();
+  contention_[static_cast<std::size_t>(s)].clear();
   schedule();
 }
 
 void TaskScheduler::on_server_healed(ServerId s) {
-  const auto it = deferred_.find(s);
-  if (it == deferred_.end()) {
-    schedule();
-    return;
-  }
-  std::vector<std::uint64_t> run_ids = std::move(it->second);
-  deferred_.erase(it);
+  const std::vector<std::uint64_t> run_ids =
+      std::exchange(deferred_[static_cast<std::size_t>(s)], {});
   for (std::uint64_t run_id : run_ids) {
     RunningTask* run = find_run(run_id);
     if (run == nullptr) continue;
@@ -1068,16 +1048,17 @@ void TaskScheduler::on_server_healed(ServerId s) {
 }
 
 void TaskScheduler::unpark(JobId job, StageId stage) {
-  const auto it = by_job_stage_.find(job_stage_key(job, stage));
-  if (it != by_job_stage_.end()) {
-    // Matching sets in submission order; parked indices requeue sorted so
-    // the offer order is independent of how the parked hash set iterates.
+  const auto it = by_job_.find(job);
+  if (it != by_job_.end()) {
+    // The job's sets of this stage in submission order; each requeues its
+    // parked tasks in index order.
     for (const auto& set : it->second) {
-      if (set->parked.empty()) continue;
-      std::vector<int> indices(set->parked.begin(), set->parked.end());
-      std::sort(indices.begin(), indices.end());
-      set->parked.clear();
-      for (int idx : indices) set->pending.push_back(idx);
+      if (set->ts->stage != stage || set->parked == 0) continue;
+      for (std::size_t i = 0; i < set->state.size(); ++i) {
+        if (!std::exchange(set->state[i].parked, false)) continue;
+        set->pending.push_back(static_cast<int>(i));
+      }
+      set->parked = 0;
       mark_ready(set);
     }
   }
@@ -1088,18 +1069,7 @@ void TaskScheduler::cancel_job(JobId job) {
   std::vector<std::shared_ptr<ActiveSet>> doomed;
   const auto it = by_job_.find(job);
   if (it != by_job_.end()) doomed = it->second;  // copy: detach mutates it
-  for (const auto& set : doomed) {
-    set->aborted = true;
-    detach_set(set);
-    std::vector<std::uint64_t> run_ids;
-    for (const auto& runs : set->runs_by_index) {
-      run_ids.insert(run_ids.end(), runs.begin(), runs.end());
-    }
-    std::sort(run_ids.begin(), run_ids.end());
-    for (const std::uint64_t id : run_ids) discard_run(id);
-    set->pending.clear();
-    set->parked.clear();
-  }
+  for (const auto& set : doomed) teardown(set);
   schedule();
 }
 

@@ -31,13 +31,16 @@
 // The driver dispatches tasks serially (`driver_dispatch_per_task`), which
 // is what makes very high partition counts and very high job rates
 // driver-bound, as in the paper's Fig 7 / Fig 19.
+//
+// Bookkeeping: one TaskState record per task of each live set; sets are
+// indexed by job and, while they have pending work, by the ready queue;
+// liveness comes from the FailureDetector set_failure_detector() links.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -55,6 +58,8 @@
 #include "sim/simulation.h"
 
 namespace stark {
+
+class FailureDetector;
 
 // What executing one task on one server will cost; produced by the
 // DagScheduler's planner at launch time from current cache state.
@@ -235,29 +240,13 @@ class TaskScheduler {
   // Used by job aborts; no further callbacks fire for those sets.
   void cancel_job(JobId job);
 
-  // The driver's belief about executor liveness (wired to the
-  // FailureDetector by api::Context). Unset = trust Server::alive().
-  void set_admission_fn(std::function<bool(ServerId)> fn) {
-    admission_ = std::move(fn);
-    offer_cache_valid_ = false;
-  }
-
-  // Monotonic counter that advances whenever the admission function's
-  // answers may have changed (wired to FailureDetector::belief_epoch by
-  // api::Context). With it, the offer cache survives across scheduling
-  // sweeps until a belief actually flips; without it, an admission fn
-  // forces a conservative rebuild every sweep.
-  void set_admission_epoch_fn(std::function<std::uint64_t()> fn) {
-    admission_epoch_ = std::move(fn);
-    offer_cache_valid_ = false;
-  }
-
-  // Fired when a scheduling pass tries to place a task on an executor the
-  // driver believes alive but whose process is gone: the launch RPC fails
-  // and the disconnect reveals the loss (wired to
-  // FailureDetector::report_launch_failure by api::Context).
-  void set_launch_failed_fn(std::function<void(ServerId)> fn) {
-    launch_failed_ = std::move(fn);
+  // The driver's view of executor liveness (wired by api::Context): offers
+  // go only to executors the detector believes alive, the offer cache lives
+  // until its belief epoch moves, and a launch RPC aimed at a dead executor
+  // it still believes alive reports the failure, revealing the loss before
+  // the heartbeat timeout. Null (the default) trusts Server::alive().
+  void set_failure_detector(FailureDetector* detector) noexcept {
+    detector_ = detector;
     offer_cache_valid_ = false;
   }
 
@@ -314,15 +303,12 @@ class TaskScheduler {
   int tenant_running_cores(TenantId tenant) const noexcept;
 
   std::size_t running_tasks() const noexcept { return live_runs_; }
-  std::size_t pending_task_sets() const noexcept { return task_sets_.size(); }
+  // Task sets submitted and not yet finished or aborted.
+  std::size_t pending_task_sets() const noexcept { return live_sets_; }
   // Logical tasks completed (winning copies only), across all sets ever run.
   std::uint64_t tasks_completed() const noexcept { return tasks_completed_; }
   int speculative_launches() const noexcept { return speculative_launches_; }
   int speculative_wins() const noexcept { return speculative_wins_; }
-  SimTime driver_free_at() const noexcept { return driver_free_at_; }
-
-  // Exclusion introspection.
-  bool app_excluded(ServerId s) const;
 
   // Quarantine entry point for detected storage corruptions: charges the
   // hosting executor's app-level exclusion budget (no per-task/per-stage
@@ -355,32 +341,35 @@ class TaskScheduler {
     std::array<std::uint64_t, 2> ids_{};
     std::uint8_t n_ = 0;
   };
+  // Everything the scheduler tracks about one task of a set.
+  struct TaskState {
+    TaskRuns runs;  // copies in flight; non-empty only while one runs
+    int attempts = 0;  // failed runs (fetch failures do not count)
+    bool done = false;  // a copy finished (the winner)
+    bool speculated = false;  // a speculative copy launched this attempt
+    bool parked = false;  // waiting on stage resubmission
+    // excludeOnFailure: task-error failures per executor, as (server,
+    // count) pairs; empty until the task fails somewhere.
+    std::vector<std::pair<ServerId, int>> failed_on;
+  };
   struct ActiveSet {
     TaskSetPtr ts;
+    std::vector<TaskState> state;  // per task index, sized at submit
     std::deque<int> pending;
-    std::unordered_set<int> parked;  // waiting on stage resubmission
+    int parked = 0;  // tasks whose TaskState::parked is set
     int running = 0;
     int finished = 0;
     int backoff_pending = 0;  // failed tasks waiting out their backoff
     bool aborted = false;
     SimTime locality_anchor = 0.0;  // max(submit time, last local launch)
     bool has_preferences = false;
-    // Retry / exclusion bookkeeping.
-    std::vector<int> attempts;  // failed runs per task index
-    std::unordered_map<int, std::unordered_map<ServerId, int>> failed_on;
+    // Per-stage exclusion bookkeeping.
     std::unordered_map<ServerId, int> stage_failures;
     std::unordered_set<ServerId> stage_excluded;
-    // Speculation bookkeeping.
-    std::vector<char> task_done_flags;
-    std::vector<char> task_speculated;
-    std::vector<double> finished_durations;
-    // In-flight run ids per task index (size == tasks.size()); an entry is
-    // non-empty only while copies of that task are running.
-    std::vector<TaskRuns> runs_by_index;
+    std::vector<double> finished_durations;  // speculation's median input
     // Scheduling-index bookkeeping (owned by the TaskScheduler): FIFO
-    // position, O(1) erase handle into task_sets_, ready-queue membership.
+    // position and ready-queue membership.
     std::uint64_t seq = 0;
-    std::list<std::shared_ptr<ActiveSet>>::iterator self;
     bool in_ready = false;
     bool detached = false;
   };
@@ -409,10 +398,13 @@ class TaskScheduler {
   void fail(std::uint64_t run_id, TaskFailureKind kind);
   void finish_set_if_done(const std::shared_ptr<ActiveSet>& set);
   void requeue_with_backoff(const std::shared_ptr<ActiveSet>& set, int index);
+  // Marks the set aborted, detaches it, discards its in-flight runs in
+  // launch order and drops its pending tasks. No callback fires.
+  void teardown(const std::shared_ptr<ActiveSet>& set);
+  // teardown() plus the abort log line and the set's on_abort callback.
   void abort_set(const std::shared_ptr<ActiveSet>& set,
                  const std::string& reason);
-  void record_task_error(const std::shared_ptr<ActiveSet>& set, int index,
-                         ServerId server);
+  void record_task_error(ActiveSet& set, int index, ServerId server);
   void charge_app_failure(ServerId server);
   void emit_retry(const ActiveSet& set, int index);
   void maybe_speculate(const std::shared_ptr<ActiveSet>& set);
@@ -442,17 +434,17 @@ class TaskScheduler {
   // Recomputes offer_servers_ / offer_base_ / probe_launch_failure_. Must
   // run before offerable() / pick_remote_server(): once per scheduling
   // sweep and on entry to maybe_speculate(). The inputs (liveness,
-  // reachability, driver admission) only change between sweeps —
+  // reachability, the detector's beliefs) only change between sweeps —
   // failure-detection callbacks are deferred past the sweep — so one
   // evaluation per server replaces one per (task, server) offer; the
-  // cluster topology epoch and admission epoch let the cache survive
-  // whole sweeps untouched until something actually changes. App-level
-  // exclusion is NOT cached (a verified read can quarantine an executor
-  // mid-sweep); offerable() checks it live.
+  // cluster topology epoch and the detector's belief epoch let the cache
+  // survive whole sweeps untouched until something actually changes.
+  // App-level exclusion is NOT cached (a verified read can quarantine an
+  // executor mid-sweep); offerable() checks it live.
   void rebuild_offer_cache();
   // Rebuilds sweep_candidates_: offerable servers that still had a free
   // core when the current sweep started. Free cores only decrease within
-  // a sweep (completions are events; launch-failure callbacks are
+  // a sweep (completions are events; launch-failure reports are
   // deferred), so servers skipped here could never accept a task anyway —
   // pick_remote_server() iterates this list instead of every offerable
   // server. Refresh alongside rebuild_offer_cache().
@@ -463,13 +455,9 @@ class TaskScheduler {
   // unpark).
   void mark_ready(const std::shared_ptr<ActiveSet>& set);
   void unready(ActiveSet& set);
-  // Removes the set from every index (FIFO list, ready queue, job and
-  // (job, stage) maps). Used when a set finishes or aborts.
+  // Removes the set from the ready queue and the job index and drops it
+  // from the live-set count. Used when a set finishes or aborts.
   void detach_set(const std::shared_ptr<ActiveSet>& set);
-  static std::uint64_t job_stage_key(JobId job, StageId stage) noexcept {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(job)) << 32) |
-           static_cast<std::uint32_t>(stage);
-  }
   // One NODE_LOCAL + ANY offer round for a single set (the body of the
   // historical ready-scan loop). Returns true when at least one task
   // launched; the set may have drained its pending queue either way.
@@ -487,6 +475,9 @@ class TaskScheduler {
   // per-sweep offer cache for the set-independent half of the predicate;
   // callers must be downstream of rebuild_offer_cache().
   bool offerable(ServerId s, const ActiveSet& set, int index) const;
+  // excludeOnFailure's per-stage and per-task half: the set excluded s, or
+  // the task used up its attempts on s.
+  bool excluded_for_task(ServerId s, const ActiveSet& set, int index) const;
   ServerId pick_remote_server(const ActiveSet& set, int index,
                               ServerId exclude = kInvalidId);
   std::uint64_t collection_key(const BlockId& id) const;
@@ -496,14 +487,13 @@ class TaskScheduler {
   CostModel cost_;
   Options options_;
   NsOfDatasetFn ns_of_dataset_;
-  std::function<bool(ServerId)> admission_;
-  std::function<void(ServerId)> launch_failed_;
+  FailureDetector* detector_ = nullptr;
   FailureStats stats_;
   obs::Tracer* tracer_ = nullptr;
   SlownessTracker* slowness_ = nullptr;
   std::function<bool(const BlockId&)> block_insert_filter_;
 
-  std::list<std::shared_ptr<ActiveSet>> task_sets_;  // FIFO, all live sets
+  std::size_t live_sets_ = 0;  // submitted, not yet detached
   // The ready queue: sets with pending work, bucketed by ready_bucket and
   // keyed by submission sequence so each bucket iterates in FIFO order
   // while skipping the (usually numerous) drained-but-running sets.
@@ -516,10 +506,8 @@ class TaskScheduler {
   // accounting next to set->running updates).
   std::vector<double> tenant_weight_;      // index = TenantId; empty slot = 1
   std::vector<int> tenant_running_cores_;  // index = TenantId
-  // Secondary indexes so unpark / cancel_job touch only their own sets
-  // instead of scanning every live one.
-  std::unordered_map<std::uint64_t, std::vector<std::shared_ptr<ActiveSet>>>
-      by_job_stage_;
+  // Live sets per job, in submission order, so unpark / cancel_job touch
+  // only their own job's sets instead of scanning every live one.
   std::unordered_map<JobId, std::vector<std::shared_ptr<ActiveSet>>> by_job_;
   std::uint64_t next_set_seq_ = 0;
   // The run-slot pool (see RunningTask): ended runs' slots are reused, so
@@ -530,10 +518,10 @@ class TaskScheduler {
   std::uint64_t launch_seq_ = 0;
   // Live run ids per server (index = ServerId), in no particular order.
   std::vector<std::vector<std::uint64_t>> by_server_;
-  // Results that finished on an unreachable (partitioned) executor; they
-  // are delivered when the partition heals, unless the loss is detected
-  // first.
-  std::unordered_map<ServerId, std::vector<std::uint64_t>> deferred_;
+  // Results that finished on an unreachable (partitioned) executor, per
+  // server (index = ServerId); they are delivered when the partition heals,
+  // unless the loss is detected first.
+  std::vector<std::vector<std::uint64_t>> deferred_;
   // App-level exclusion (spark.excludeOnFailure.application.*).
   std::unordered_map<ServerId, int> app_failures_;
   std::unordered_map<ServerId, SimTime> app_excluded_until_;
@@ -543,8 +531,9 @@ class TaskScheduler {
   // hash probe on that path. Sized lazily on first exclusion; empty means
   // no server was ever excluded.
   std::vector<char> app_excluded_mask_;
-  std::unordered_map<ServerId, std::unordered_map<std::uint64_t, int>>
-      contention_;
+  // MCF contention per server (index = ServerId): cached-block count per
+  // collection partition; its size is unique_collection_partitions().
+  std::vector<std::unordered_map<std::uint64_t, int>> contention_;
   // Per-sweep offer cache (see rebuild_offer_cache): servers passing the
   // set-independent checks in ascending-id order, a by-id bitmap of the
   // same, a by-id bitmap of dead-but-believed-alive servers the
@@ -555,7 +544,6 @@ class TaskScheduler {
   std::vector<char> probe_launch_failure_;
   std::vector<ServerId> pick_scratch_;
   std::vector<ServerId> sweep_candidates_;
-  std::function<std::uint64_t()> admission_epoch_;
   std::uint64_t offer_cache_key_ = 0;
   bool offer_cache_valid_ = false;
   Rng placement_rng_;
@@ -567,7 +555,7 @@ class TaskScheduler {
   int speculative_wins_ = 0;
   bool speculation_suspended_ = false;
   std::uint64_t tasks_completed_ = 0;
-  SimTime driver_free_at_ = 0.0;
+  SimTime driver_idle_at_ = 0.0;
   bool timer_armed_ = false;
   SimTime timer_at_ = 0.0;
   bool in_schedule_ = false;

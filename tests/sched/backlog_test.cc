@@ -1,6 +1,7 @@
-// Regression tests for the de-quadratized scheduler hot paths: the
-// (job, stage) index behind unpark(), and the deep-backlog bail-out that
-// stops a scheduling pass from scanning every blocked set per event.
+// Regression tests for the de-quadratized scheduler hot paths: unpark(),
+// which filters its job's live sets by stage instead of scanning every
+// set, and the deep-backlog bail-out that stops a scheduling pass from
+// scanning every blocked set per event.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -67,8 +68,8 @@ class BacklogTest : public ::testing::Test {
 };
 
 // After a fetch failure parks a stage's tasks, unpark() must requeue
-// exactly the parked indices, in sorted index order — regardless of the
-// iteration order of the parked hash set — so re-offers are deterministic.
+// exactly the parked indices, in sorted index order, so re-offers are
+// deterministic.
 TEST_F(BacklogTest, UnparkRequeuesParkedIndicesInSortedOrder) {
   auto ts = std::make_shared<TaskScheduler::TaskSet>();
   ts->job = 7;
@@ -154,6 +155,40 @@ TEST_F(BacklogTest, UnparkTouchesOnlyItsOwnJobStage) {
   EXPECT_EQ(sets_done_, 1);
   EXPECT_EQ(done_.size(), 1u);
   EXPECT_EQ(done_[0].first.job, 1);
+  EXPECT_EQ(sched_->pending_task_sets(), 1u);
+}
+
+// unpark() for one stage of a job must not disturb the job's other parked
+// stages.
+TEST_F(BacklogTest, UnparkTouchesOnlyItsOwnStageOfTheJob) {
+  int attempt_a = 0;
+  int attempt_b = 0;
+  const auto parked_set = [this](StageId stage, int* attempt) {
+    auto ts = make_set(1, 1, 1.0);
+    ts->stage = stage;
+    ts->tasks[0].stage = stage;
+    ts->plan = [attempt](const TaskSpec&, ServerId) {
+      TaskPlan p;
+      if (++*attempt == 1) {
+        p.fetch_failure = TaskPlan::FetchFailure{ShuffleKey{1, 0}, 0};
+        return p;
+      }
+      p.cpu = 1.0;
+      return p;
+    };
+    ts->task_failed = [](const TaskSpec&, const TaskFailure&) {
+      return TaskFailureAction::kPark;
+    };
+    return ts;
+  };
+  sched_->submit(parked_set(0, &attempt_a));
+  sched_->submit(parked_set(1, &attempt_b));
+  sim_->at(2.0, [&] { sched_->unpark(1, 1); });
+  sim_->run();
+  // Only stage 1 was unparked; stage 0's task stays parked forever.
+  EXPECT_EQ(sets_done_, 1);
+  ASSERT_EQ(done_.size(), 1u);
+  EXPECT_EQ(done_[0].first.stage, 1);
   EXPECT_EQ(sched_->pending_task_sets(), 1u);
 }
 

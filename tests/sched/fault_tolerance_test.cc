@@ -3,6 +3,8 @@
 // re-admission, and deferred result delivery across partitions.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "api/context.h"
 #include "trace/wiki.h"
 
@@ -97,6 +99,35 @@ TEST(FaultTolerance, FetchFailureResubmitsTheMapStage) {
   const FailureStats& s = ctx.dag().failure_stats();
   EXPECT_GE(s.fetch_failures, 1);
   EXPECT_GE(s.stage_resubmissions, 1);
+  // Stages report in id order. The rebuilt map stage is minted after the
+  // reduce stage that hit the FetchFailed, so it reports last.
+  ASSERT_GE(r.stages.size(), 2u);
+  for (std::size_t i = 1; i < r.stages.size(); ++i) {
+    EXPECT_LT(r.stages[i - 1].stage, r.stages[i].stage);
+  }
+  EXPECT_TRUE(r.stages.back().shuffle_map);
+}
+
+TEST(FaultTolerance, FailedLaunchRpcRevealsADeadExecutorEarly) {
+  ContextOptions o = opts();
+  o.cluster.server.cores = 1;
+  Context ctx(o);
+  auto part = ctx.collection_partitioner(16, 256);
+  auto ds = ctx.ingest("d", hist(), part, "logs");
+  // 16 tasks on 4 single-core executors: most of them queue. Server 2 dies
+  // while tasks that prefer it are still pending, so the next NODE_LOCAL
+  // pass aims a launch RPC at it. The RPC fails and the driver declares the
+  // loss on the spot instead of waiting out the heartbeat timeout.
+  std::optional<JobResult> result;
+  ctx.dag().submit(ds, ActionType::kCount, {},
+                   [&](const JobResult& r) { result = r; });
+  ctx.sim().after(1e-6, [&] { ctx.kill_server(2); });
+  ctx.sim().run();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->completed) << result->failure_reason;
+  const FailureStats& s = ctx.dag().failure_stats();
+  EXPECT_EQ(s.heartbeat_detections, 1);
+  EXPECT_LT(s.mean_detection_latency(), o.faults.heartbeat_timeout);
 }
 
 TEST(FaultTolerance, PartitionHealedBeforeTimeoutDeliversResultsLate) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace stark {
 namespace {
 
@@ -218,6 +221,29 @@ TEST_F(TaskSchedulerTest, EmptyTaskSetRejected) {
   auto ts = std::make_shared<TaskScheduler::TaskSet>();
   EXPECT_THROW(sched_->submit(ts), std::invalid_argument);
   EXPECT_THROW(sched_->submit(nullptr), std::invalid_argument);
+}
+
+TEST_F(TaskSchedulerTest, TaskFailedOnEveryLiveExecutorAbortsItsSet) {
+  reset({}, /*servers=*/2, /*cores=*/1);
+  // Every run crashes. excludeOnFailure bars the task from each executor
+  // it failed on, so after one failure per executor nothing can run it,
+  // well inside the max_task_failures budget: the set aborts instead of
+  // waiting forever.
+  sched_->set_flaky_task_probability(1.0);
+  auto ts = make_set(1, 1.0);
+  std::vector<std::string> reasons;
+  ts->on_abort = [&](const std::string& reason) { reasons.push_back(reason); };
+  sched_->submit(ts);
+  sim_->run();
+  ASSERT_EQ(reasons.size(), 1u);
+  EXPECT_EQ(reasons[0],
+            "task 0 cannot be scheduled on any live executor "
+            "(excludeOnFailure)");
+  EXPECT_EQ(sched_->failure_stats().task_failures, 2);
+  EXPECT_EQ(sched_->pending_task_sets(), 0u);
+  EXPECT_EQ(sched_->running_tasks(), 0u);
+  EXPECT_EQ(sets_done_, 0);
+  EXPECT_TRUE(done_.empty());
 }
 
 TEST_F(TaskSchedulerTest, FifoBetweenTaskSets) {
